@@ -132,6 +132,20 @@ def oracle_propagate(x: np.ndarray, gates_dir: np.ndarray, direction: Direction,
     return unvec_map(out, aff.height, aff.width, direction)
 
 
+def oracle_spn_forward(x: np.ndarray, gate_data: np.ndarray,
+                       kind: ConnectionKind, units: int) -> np.ndarray:
+    """`spn_forward` through the dense transforms, in float64.
+
+    Each unit propagates every direction with `oracle_propagate` and takes
+    the node-wise max over directions; the next unit reads the pooled map.
+    """
+    cur = x
+    for _ in range(units):
+        cur = np.max([oracle_propagate(cur, gate_data[:, :, :, d, :], d, kind)
+                      for d in Direction], axis=0)
+    return cur
+
+
 def laplacian_decompose(aff: DenseAffinity):
     """Split each channel's G as I - D + A. Returns (D, A, L) with L = D - A.
 

@@ -41,6 +41,7 @@ from .propagation import (
     propagate_direction_backward,
     propagate_direction_cached,
     random_gates,
+    spn_forward,
 )
 from .stability import (
     STABILITY_TOL,
@@ -50,7 +51,8 @@ from .stability import (
     project_gates_cached,
     verify_stability,
 )
-from .tensor import read_array, read_image_pnm, write_array, write_image_pnm
+from .tensor import (read_array, read_image_pnm, require_finite, write_array,
+                     write_image_pnm)
 
 KINDS = {"one": ConnectionKind.ONE_WAY, "three": ConnectionKind.THREE_WAY}
 
@@ -80,8 +82,8 @@ def cmd_verify(args) -> int:
     const_tol = 1e-12 if args.bits == 64 else 1e-5
     log = CheckLog()
 
-    worst = {"boundary": True, "rowsum": 0.0, "scan": 0.0, "stability": 0.0,
-             "spectra": 0.0, "const": 0.0}
+    worst = {"boundary": True, "rowsum": 0.0, "scan": 0.0, "pooled": 0.0,
+             "stability": 0.0, "spectra": 0.0, "const": 0.0}
     for trial in range(args.trials):
         h = int(rng.integers(2, args.max_size + 1))
         w = int(rng.integers(2, args.max_size + 1))
@@ -115,6 +117,13 @@ def cmd_verify(args) -> int:
             if radii.size:
                 worst["spectra"] = max(worst["spectra"], float(radii.max()))
 
+        pooled = spn_forward(x.astype(dtype), gates.astype(dtype), kind,
+                             units=2)[0].astype(np.float64)
+        if args.inject_fault == "scan-perturb":
+            pooled = pooled + 100.0 * scan_tol
+        worst["pooled"] = max(worst["pooled"], float(np.abs(
+            pooled - aff.oracle_spn_forward(x, gates, kind, 2)).max()))
+
         rep = verify_stability(gates, kind)
         worst["stability"] = max(worst["stability"], rep.max_abs_sum)
 
@@ -132,6 +141,9 @@ def cmd_verify(args) -> int:
                f"max |row sum - 1| = {worst['rowsum']:.3e}, tol 1e-10")
     log.record("scan-vs-dense-oracle", worst["scan"] <= scan_tol,
                f"max |scan - oracle| = {worst['scan']:.3e}, tol {scan_tol:g}")
+    log.record("pooled-scan-vs-dense-oracle", worst["pooled"] <= scan_tol,
+               f"spn_forward, 2 units: max |scan - oracle| = "
+               f"{worst['pooled']:.3e}, tol {scan_tol:g}")
     log.record("gate-row-bound", worst["stability"] <= 1.0 + STABILITY_TOL,
                f"max abs gate sum = {worst['stability']:.9f}, "
                f"limit {1.0 + STABILITY_TOL:g}")
@@ -363,6 +375,11 @@ def cmd_refine(args) -> int:
         raise DimensionError(
             f"coarse map shaped {coarse.shape}, checkpoint wants "
             f"{arch.classes} classes")
+    if coarse.shape[:2] != image.shape[:2]:
+        raise DimensionError(
+            f"coarse map is {coarse.shape[0]}x{coarse.shape[1]}, image is "
+            f"{image.shape[0]}x{image.shape[1]}")
+    require_finite(coarse, f"coarse map {args.coarse}")
     allowed = None
     if args.restrict:
         allowed = np.unique(coarse.argmax(axis=2))

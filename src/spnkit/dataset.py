@@ -23,6 +23,7 @@ from .tensor import (
     map_from_array,
     read_array,
     read_image_pnm,
+    require_finite,
     resize_array,
     write_array,
     write_image_pnm,
@@ -239,6 +240,7 @@ def load_sample(root, index: int):
     coarse = read_array(cpath)
     if coarse.ndim != 3 or coarse.shape[:2] != labels.shape:
         raise FormatError(f"coarse map for item {index} has shape {coarse.shape}")
+    require_finite(coarse, f"coarse map for item {index}")
     return image, labels, coarse
 
 

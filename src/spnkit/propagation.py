@@ -13,6 +13,23 @@ Gates on the first scan line, and the diagonal gates that would reach outside
 the grid, must be exactly zero. That contract keeps every output a convex-like
 combination whose coefficients sum to one, which is what makes a constant
 input an exact fixed point regardless of gate values.
+
+All scans run through one time loop over a stack of directions. A scan is
+laid out step-major, (steps, lines, C), and directions with the same
+(steps, lines) shape are stacked side by side on the line axis: all four on
+a square grid, otherwise left/right and top/bottom as two stacks. Stacking
+is exact. A one-way pixel reads only its own line, so blocks cannot meet.
+A three-way pixel reads the neighbouring lines too, so three-way stacks put
+one zero separator line before, between and after the blocks: a block's
+edge lines read an exact zero there, as a lone scan reads outside the grid,
+whatever the gate values (the boundary contract pins those gates to zero
+anyway, but `check=False` callers may not). The loops reset the separator
+lines to zero after every step, so they read zero even when an input or
+gradient is infinite or NaN (0 * inf is NaN), and such a value stays in its
+own direction as it would in a separate scan. Each step performs the same
+floating-point operations in the same order as a separate scan per
+direction would, so the results equal it exactly (a zero gradient entry may
+at most change sign).
 """
 from __future__ import annotations
 
@@ -164,81 +181,164 @@ def check_boundary_zeros(gate_data: np.ndarray, kind: ConnectionKind) -> None:
             f"{tuple(int(v) for v in i)}, found {gate_data[tuple(i)]!r}")
 
 
-def _scan_core(x: np.ndarray, gates: np.ndarray, kind: ConnectionKind) -> np.ndarray:
-    """Run one scan in canonical coordinates. x: (n, T, C), gates: (n, T, C, K)."""
-    n, length, _ = x.shape
-    h = np.empty_like(x)
-    h[:, 0] = x[:, 0]
-    if kind == ConnectionKind.ONE_WAY:
-        for t in range(1, length):
-            p = gates[:, t, :, 0]
-            h[:, t] = (1.0 - p) * x[:, t] + p * h[:, t - 1]
-        return h
-    for t in range(1, length):
-        pu = gates[:, t, :, GATE_PREV]
-        pm = gates[:, t, :, GATE_SAME]
-        pd = gates[:, t, :, GATE_NEXT]
-        prev = h[:, t - 1]
-        up = np.zeros_like(prev)
-        up[1:] = prev[:-1]
-        dn = np.zeros_like(prev)
-        dn[:-1] = prev[1:]
-        h[:, t] = (1.0 - pu - pm - pd) * x[:, t] + pu * up + pm * prev + pd * dn
-    return h
+def _step_major(arr: np.ndarray, direction: Direction) -> np.ndarray:
+    """View grid-ordered (H, W, ...) data as (steps, lines, ...) for a direction."""
+    return _to_scan(arr, direction).swapaxes(0, 1)
 
 
-def _scan_backward_core(x, h, gates, grad, kind):
-    """Exact reverse-mode pass for one canonical scan.
+def _direction_groups(height: int, width: int) -> tuple:
+    """Directions whose scans share one (steps, lines) shape, in index order."""
+    if height == width:
+        return (tuple(Direction),)
+    return ((Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT),
+            (Direction.TOP_TO_BOTTOM, Direction.BOTTOM_TO_TOP))
 
-    Returns (dx, dgates). Gradients at gate positions pinned to zero by the
-    boundary contract are reported as zero: those entries are not free
-    parameters.
+
+class ScanStack:
+    """Gates of one or more directions laid out for one fused scan.
+
+    Built from one (H, W, C, K) gate array per direction, cast to `dtype`.
+    Each direction is a block of `lines` scan lines. The blocks sit side by
+    side on the line axis in the order of `directions`; three-way stacks put
+    one zero separator line before, between and after them. `slots` is
+    (K, steps, rows, C) and `coef`, the input weight 1 - sum(p), is
+    (steps, rows, C): both are step-major, so one step is contiguous.
     """
-    n, length, _ = x.shape
-    dx = np.zeros_like(x)
-    dgates = np.zeros_like(gates)
-    carry = np.zeros_like(x[:, 0])
-    if kind == ConnectionKind.ONE_WAY:
-        for t in range(length - 1, 0, -1):
-            g = grad[:, t] + carry
-            p = gates[:, t, :, 0]
-            dx[:, t] = (1.0 - p) * g
-            dgates[:, t, :, 0] = (h[:, t - 1] - x[:, t]) * g
-            carry = p * g
-        dx[:, 0] = grad[:, 0] + carry
-        return dx, dgates
-    for t in range(length - 1, 0, -1):
-        g = grad[:, t] + carry
-        pu = gates[:, t, :, GATE_PREV]
-        pm = gates[:, t, :, GATE_SAME]
-        pd = gates[:, t, :, GATE_NEXT]
-        prev = h[:, t - 1]
-        up = np.zeros_like(prev)
-        up[1:] = prev[:-1]
-        dn = np.zeros_like(prev)
-        dn[:-1] = prev[1:]
-        dx[:, t] = (1.0 - pu - pm - pd) * g
-        dgates[:, t, :, GATE_PREV] = (up - x[:, t]) * g
-        dgates[:, t, :, GATE_SAME] = (prev - x[:, t]) * g
-        dgates[:, t, :, GATE_NEXT] = (dn - x[:, t]) * g
-        carry = pm * g
-        pug = pu * g
-        carry[:-1] += pug[1:]
-        pdg = pd * g
-        carry[1:] += pdg[:-1]
-    dx[:, 0] = grad[:, 0] + carry
-    dgates[0, :, :, GATE_PREV] = 0.0
-    dgates[n - 1, :, :, GATE_NEXT] = 0.0
-    return dx, dgates
+
+    def __init__(self, gate_dirs, directions, kind: ConnectionKind, dtype):
+        self.kind = kind
+        self.directions = tuple(directions)
+        steps, self.lines, channels, k = _step_major(gate_dirs[0], directions[0]).shape
+        rows = self.rows(len(directions)).start  # where a next block would start
+        self.slots = np.zeros((k, steps, rows, channels), dtype=dtype)
+        for b, (g, d) in enumerate(zip(gate_dirs, directions)):
+            self.slots[:, :, self.rows(b)] = np.moveaxis(_step_major(g, d), -1, 0)
+        self.coef = 1.0 - self.slots[0]
+        for s in self.slots[1:]:
+            self.coef -= s
+
+    def rows(self, block: int) -> slice:
+        pad = int(self.kind == ConnectionKind.THREE_WAY)
+        start = pad + block * (self.lines + pad)
+        return slice(start, start + self.lines)
+
+    @property
+    def separators(self) -> slice:
+        """Every separator line of a three-way stack, as a row slice."""
+        return slice(0, None, self.lines + 1)
+
+    def stack(self, grids) -> np.ndarray:
+        """One (H, W, C) grid per direction, as a zero-separated (steps, rows, C) array."""
+        out = np.zeros_like(self.coef)
+        for b, (g, d) in enumerate(zip(grids, self.directions)):
+            out[:, self.rows(b)] = _step_major(g, d)
+        return out
+
+    def unstack(self, arr: np.ndarray) -> list:
+        """Each direction's block of a (steps, rows, C) array, as a grid view."""
+        return [_from_scan(arr[:, self.rows(b)].swapaxes(0, 1), d)
+                for b, d in enumerate(self.directions)]
 
 
 @dataclass
 class ScanCache:
-    direction: Direction
-    kind: ConnectionKind
+    """Input and output of one fused scan, step-major in the stack's layout."""
+
+    stack: ScanStack
     x_scan: np.ndarray
     h_scan: np.ndarray
-    gates_scan: np.ndarray
+
+    @property
+    def kind(self) -> ConnectionKind:
+        return self.stack.kind
+
+    @property
+    def gates_scan(self) -> np.ndarray:
+        """The stacked gates as a (steps, rows, C, K) view."""
+        return np.moveaxis(self.stack.slots, 0, -1)
+
+
+def _scan(stack: ScanStack, grids) -> ScanCache:
+    """Scan each direction of `stack` over its (H, W, C) grid in one time loop.
+
+    The input term (1 - sum(p)) * x is formed for every step up front; the
+    loop adds the previous-line terms in the order the recurrence is written.
+    """
+    xs = stack.stack(grids)
+    h = stack.coef * xs
+    h[0] = xs[0]
+    if stack.kind == ConnectionKind.ONE_WAY:
+        p = stack.slots[0]
+        tmp = np.empty_like(h[0])
+        for t in range(1, len(h)):
+            np.multiply(p[t], h[t - 1], out=tmp)
+            h[t] += tmp
+        return ScanCache(stack, xs, h)
+    # the rows between the outer separator lines are updated whole and the
+    # separators reset each step, so a non-finite value cannot reach the
+    # next block through them (0 * inf is NaN)
+    pu, pm, pd = stack.slots[:, :, 1:-1]
+    sep = stack.separators
+    tmp = np.empty_like(h[0, 1:-1])
+    for t in range(1, len(h)):
+        prev, row = h[t - 1], h[t, 1:-1]
+        np.multiply(pu[t], prev[:-2], out=tmp)
+        row += tmp
+        np.multiply(pm[t], prev[1:-1], out=tmp)
+        row += tmp
+        np.multiply(pd[t], prev[2:], out=tmp)
+        row += tmp
+        h[t, sep] = 0.0
+    return ScanCache(stack, xs, h)
+
+
+def _scan_backward(cache: ScanCache, grads, dgates_out) -> list:
+    """Exact reverse pass of one fused scan.
+
+    `grads` holds one upstream (H, W, C) gradient per direction of the
+    stack. Each direction's gate gradient is added into its (H, W, C, K)
+    array in `dgates_out`, except at gate positions the boundary contract
+    pins to zero: those entries are not free parameters and are left as
+    they are. Returns each direction's input gradient in grid orientation.
+    """
+    st = cache.stack
+    g = st.stack(grads)
+    if st.kind == ConnectionKind.ONE_WAY:
+        p = st.slots[0]
+        carry = np.empty_like(g[0])
+        for t in range(len(g) - 1, 0, -1):
+            np.multiply(p[t], g[t], out=carry)
+            g[t - 1] += carry
+    else:
+        pu, pm, pd = st.slots
+        pu, pd = pu[:, 1:], pd[:, :-1]
+        sep = st.separators
+        carry = np.empty_like(g[0])
+        tmp = np.empty_like(g[0, 1:])
+        for t in range(len(g) - 1, 0, -1):
+            gt = g[t]
+            np.multiply(pm[t], gt, out=carry)
+            np.multiply(pu[t], gt[1:], out=tmp)
+            carry[:-1] += tmp
+            np.multiply(pd[t], gt[:-1], out=tmp)
+            carry[1:] += tmp
+            g[t - 1] += carry
+            g[t - 1, sep] = 0.0
+    # g now holds the adjoint of h at every step
+    three = st.kind == ConnectionKind.THREE_WAY
+    x, prev, gn = cache.x_scan[1:], cache.h_scan[:-1], g[1:]
+    for b, (d, out) in enumerate(zip(st.directions, dgates_out)):
+        r = st.rows(b).start
+        target = _step_major(out, d)[1:]
+        for k in range(st.kind.gates_per_direction):
+            off = k - 1 if three else 0
+            lo, hi = max(0, -off), st.lines - max(0, off)
+            part = np.subtract(prev[:, r + lo + off:r + hi + off], x[:, r + lo:r + hi])
+            part *= gn[:, r + lo:r + hi]
+            target[:, lo:hi, :, k] += part
+    dx = st.coef * g
+    dx[0] = g[0]
+    return st.unstack(dx)
 
 
 def _check_inputs(x: np.ndarray, gates_dir: np.ndarray, kind: ConnectionKind):
@@ -262,11 +362,9 @@ def propagate_direction_cached(x, gates_dir, direction, kind, check=True):
     _check_inputs(x, gates_dir, kind)
     if check:
         check_direction_boundary(gates_dir, direction, kind)
-    xs = np.ascontiguousarray(_to_scan(x, direction))
-    gs = np.ascontiguousarray(_to_scan(gates_dir, direction))
-    hs = _scan_core(xs, gs, kind)
-    cache = ScanCache(direction, kind, xs, hs, gs)
-    return _from_scan(hs, direction), cache
+    stack = ScanStack([gates_dir], (direction,), kind, x.dtype)
+    cache = _scan(stack, [x])
+    return stack.unstack(cache.h_scan)[0], cache
 
 
 def check_direction_boundary(gates_dir, direction, kind):
@@ -284,10 +382,10 @@ def check_direction_boundary(gates_dir, direction, kind):
 
 def propagate_direction_backward(grad: np.ndarray, cache: ScanCache):
     """Gradients of a single scan. Returns (dx, dgates) in grid orientation."""
-    gsc = np.ascontiguousarray(_to_scan(grad, cache.direction))
-    dxs, dgs = _scan_backward_core(cache.x_scan, cache.h_scan, cache.gates_scan,
-                                   gsc, cache.kind)
-    return _from_scan(dxs, cache.direction), _from_scan(dgs, cache.direction)
+    k = cache.kind.gates_per_direction
+    dgates = np.zeros(grad.shape + (k,), dtype=cache.x_scan.dtype)
+    (dx,) = _scan_backward(cache, [grad], [dgates])
+    return dx, dgates
 
 
 def integrate_max(h_stack: np.ndarray):
@@ -311,6 +409,9 @@ def integrate_max_backward(grad: np.ndarray, winner: np.ndarray) -> np.ndarray:
 
 @dataclass
 class UnitCache:
+    """One propagation unit: a ScanCache per direction group, and the
+    direction index that won the max pool at each node."""
+
     scans: list
     winner: np.ndarray
 
@@ -320,7 +421,8 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
     """Run `units` cascaded propagation units with shared gates.
 
     Each unit scans in all four directions and max-pools the results; the next
-    unit consumes the pooled output. Returns (out, caches).
+    unit consumes the pooled output. Directions that share a scan shape run
+    as one fused scan (see the module docstring). Returns (out, caches).
     """
     if units < 1:
         raise DimensionError("units must be >= 1")
@@ -330,15 +432,17 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
             f"gates shaped {gate_data.shape}, expected {x.shape + (4, k)}")
     if check:
         check_boundary_zeros(gate_data, kind)
+    stacks = [ScanStack([gate_data[:, :, :, d, :] for d in group], group,
+                        kind, x.dtype)
+              for group in _direction_groups(x.shape[0], x.shape[1])]
     caches = []
     cur = x
     for _ in range(units):
-        scans = []
         hs = np.empty((4,) + x.shape, dtype=x.dtype)
-        for d in Direction:
-            hs[d], sc = propagate_direction_cached(cur, gate_data[:, :, :, d, :],
-                                                   d, kind, check=False)
-            scans.append(sc)
+        scans = [_scan(st, [cur] * len(st.directions)) for st in stacks]
+        for sc in scans:
+            for d, h in zip(sc.stack.directions, sc.stack.unstack(sc.h_scan)):
+                hs[d] = h
         cur, winner = integrate_max(hs)
         caches.append(UnitCache(scans, winner))
     return cur, caches
@@ -346,18 +450,19 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
 
 def spn_backward(grad: np.ndarray, caches: list):
     """Gradients of spn_forward: returns (dx, dgates (H, W, C, 4, K))."""
-    kind = caches[0].scans[0].kind
-    k = kind.gates_per_direction
+    k = caches[0].scans[0].kind.gates_per_direction
     dgates = np.zeros(grad.shape + (4, k), dtype=grad.dtype)
     g = grad
     for unit in reversed(caches):
         per_dir = integrate_max_backward(g, unit.winner)
-        gx = np.zeros_like(g)
-        for d in Direction:
-            dxd, dgd = propagate_direction_backward(per_dir[d], unit.scans[d])
-            gx += dxd
-            dgates[:, :, :, d, :] += dgd
-        g = gx
+        dx = [None] * 4
+        for sc in unit.scans:
+            dirs = sc.stack.directions
+            parts = _scan_backward(sc, [per_dir[d] for d in dirs],
+                                   [dgates[:, :, :, d, :] for d in dirs])
+            for d, part in zip(dirs, parts):
+                dx[d] = part
+        g = dx[0] + dx[1] + dx[2] + dx[3]
     return g, dgates
 
 

@@ -7,6 +7,7 @@ and binary PGM/PPM images for 1- and 3-channel data.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,28 +90,30 @@ def map_from_array(arr, dtype=None) -> Map:
     return Map(a)
 
 
+@functools.lru_cache(maxsize=64)
 def interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     """Corner-aligned linear interpolation matrix of shape (n_out, n_in).
 
     Rows are convex weights; resizing to the same length is the exact identity.
-    A single-sample output takes the first input sample.
+    A single-sample output takes the first input sample. Results are cached
+    per size pair and returned read-only, so callers share one copy.
     """
     if n_in < 1 or n_out < 1:
         raise DimensionError("interpolation sizes must be >= 1")
     r = np.zeros((n_out, n_in), dtype=np.float64)
     if n_in == 1:
         r[:, 0] = 1.0
-        return r
-    if n_out == 1:
+    elif n_out == 1:
         r[0, 0] = 1.0
-        return r
-    scale = (n_in - 1) / (n_out - 1)
-    for i in range(n_out):
-        s = i * scale
-        lo = min(int(np.floor(s)), n_in - 2)
-        f = s - lo
-        r[i, lo] = 1.0 - f
-        r[i, lo + 1] += f
+    else:
+        scale = (n_in - 1) / (n_out - 1)
+        for i in range(n_out):
+            s = i * scale
+            lo = min(int(np.floor(s)), n_in - 2)
+            f = s - lo
+            r[i, lo] = 1.0 - f
+            r[i, lo + 1] += f
+    r.setflags(write=False)
     return r
 
 
@@ -176,6 +179,14 @@ def read_array(path) -> np.ndarray:
             f"payload size mismatch at byte {need}: expected {expected} bytes, found {got}")
     arr = np.frombuffer(data, dtype=dt, offset=need).reshape(dims)
     return arr.astype(dt.newbyteorder("="))
+
+
+def require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise FormatError naming the first non-finite entry of `arr`, if any."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        i = tuple(int(v) for v in np.argwhere(bad)[0])
+        raise FormatError(f"{what} has a non-finite value {float(arr[i])} at index {i}")
 
 
 def write_tensor(path, m: Map) -> None:

@@ -3,7 +3,7 @@ import pytest
 
 from spnkit.cli import main
 from spnkit.dataset import gen_toy_dataset, map_to_labels
-from spnkit.tensor import read_array, read_image_pnm
+from spnkit.tensor import read_array, read_image_pnm, write_array
 
 
 def run(capsys, *argv):
@@ -12,10 +12,17 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def has_line(out, prefix):
+    """True if some output line starts with `prefix` (record names nest)."""
+    return any(line.startswith(prefix) for line in out.splitlines())
+
+
 def test_verify_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--trials", "2", "--max-size", "6")
     assert rc == 0
-    assert out.count("PASS") == 6 and "FAIL" not in out
+    assert out.count("PASS") == 7 and "FAIL" not in out
+    assert has_line(out, "scan-vs-dense-oracle: PASS")
+    assert has_line(out, "pooled-scan-vs-dense-oracle: PASS")
 
 
 def test_verify_32bit(capsys):
@@ -29,12 +36,13 @@ def test_verify_32bit(capsys):
     ("boundary", "boundary-contract: FAIL"),
     ("unprojected", "gate-row-bound: FAIL"),
     ("scan-perturb", "scan-vs-dense-oracle: FAIL"),
+    ("scan-perturb", "pooled-scan-vs-dense-oracle: FAIL"),
 ])
 def test_verify_fault_injection(capsys, fault, marker):
     rc, out, _ = run(capsys, "verify", "--trials", "2", "--max-size", "6",
                      "--inject-fault", fault)
     assert rc == 1
-    assert marker in out
+    assert has_line(out, marker)
 
 
 def test_gradcheck_passes(capsys):
@@ -162,3 +170,32 @@ def test_refine_writes_mask(capsys, trained, tmp_path):
     assert labels.shape == (16, 16)
     assert set(np.unique(labels)) <= {0, 1}
     assert "refined IoU" in out
+
+
+def _refine(capsys, trained, tmp_path, coarse):
+    ds_dir, out_dir = trained
+    write_array(tmp_path / "coarse.spnt", coarse)
+    pred = tmp_path / "pred.pgm"
+    rc, _, err = run(capsys, "refine", "--checkpoint", str(out_dir / "best"),
+                     "--image", str(ds_dir / "images" / "0009.ppm"),
+                     "--coarse", str(tmp_path / "coarse.spnt"),
+                     "--out", str(pred))
+    return rc, err, pred
+
+
+def test_refine_rejects_coarse_of_other_size(capsys, trained, tmp_path):
+    coarse = np.full((17, 40, 2), 0.5, dtype=np.float32)
+    rc, err, pred = _refine(capsys, trained, tmp_path, coarse)
+    assert rc == 2
+    assert "17x40" in err and "16x16" in err
+    assert not pred.exists()
+
+
+def test_refine_rejects_nonfinite_coarse(capsys, trained, tmp_path):
+    ds_dir, _ = trained
+    coarse = read_array(ds_dir / "coarse" / "0009.spnt")
+    coarse[4, 7, 0] = np.nan
+    rc, err, pred = _refine(capsys, trained, tmp_path, coarse)
+    assert rc == 2
+    assert "(4, 7, 0)" in err
+    assert not pred.exists()

@@ -15,6 +15,7 @@ from spnkit.dataset import (
     verify_dataset,
 )
 from spnkit.errors import ConfigError, FormatError
+from spnkit.tensor import read_array, write_array
 
 
 def test_render_sample_basics():
@@ -106,6 +107,16 @@ def test_load_sample_consistent(tmp_path):
     assert coarse.shape == (24, 24, 2)
     assert labels.max() <= 1
     np.testing.assert_allclose(coarse.sum(axis=2), 1.0, atol=1e-5)
+
+
+def test_load_sample_rejects_nonfinite_coarse(tmp_path):
+    _, root = make_ds(tmp_path)
+    path = root / "coarse" / "0000.spnt"
+    coarse = read_array(path)
+    coarse[3, 5, 1] = np.nan
+    write_array(path, coarse)
+    with pytest.raises(FormatError, match=r"item 0 .*nan.* at index \(3, 5, 1\)"):
+        load_sample(root, 0)
 
 
 def test_verify_dataset_detects_tampering(tmp_path):

@@ -7,6 +7,8 @@ from spnkit.propagation import (
     Direction,
     ConnectionKind,
     GateTensor,
+    _from_scan,
+    _to_scan,
     GATE_PREV,
     GATE_SAME,
     GATE_NEXT,
@@ -309,3 +311,213 @@ def test_single_line_grids():
     gc = random_gates(5, 1, 1, ONE, rng, high=0.5)
     h2 = propagate_direction(xc, gc[:, :, :, 0, :], Direction.LEFT_TO_RIGHT, ONE)
     np.testing.assert_array_equal(h2, xc)
+
+
+# --- the fused scan against a per-direction reference -------------------
+#
+# The reference is the straightforward form of the recurrence: one Python
+# time loop per direction in canonical (lines, steps) coordinates, fresh
+# zero-padded neighbour shifts at every step. The fused scan performs the
+# same floating-point operations in the same order, so results must be
+# exactly equal, not merely close.
+
+def _ref_scan(x, gates, kind):
+    """One canonical scan. x: (n, T, C), gates: (n, T, C, K)."""
+    h = np.empty_like(x)
+    h[:, 0] = x[:, 0]
+    for t in range(1, x.shape[1]):
+        prev = h[:, t - 1]
+        if kind == ONE:
+            p = gates[:, t, :, 0]
+            h[:, t] = (1.0 - p) * x[:, t] + p * prev
+            continue
+        pu, pm, pd = (gates[:, t, :, s] for s in (GATE_PREV, GATE_SAME, GATE_NEXT))
+        up = np.zeros_like(prev)
+        up[1:] = prev[:-1]
+        dn = np.zeros_like(prev)
+        dn[:-1] = prev[1:]
+        h[:, t] = (1.0 - pu - pm - pd) * x[:, t] + pu * up + pm * prev + pd * dn
+    return h
+
+
+def _ref_scan_backward(x, h, gates, grad, kind):
+    """Reverse pass of _ref_scan; boundary gate gradients are zero."""
+    n, length, _ = x.shape
+    dx = np.zeros_like(x)
+    dgates = np.zeros_like(gates)
+    carry = np.zeros_like(x[:, 0])
+    for t in range(length - 1, 0, -1):
+        g = grad[:, t] + carry
+        prev = h[:, t - 1]
+        if kind == ONE:
+            p = gates[:, t, :, 0]
+            dx[:, t] = (1.0 - p) * g
+            dgates[:, t, :, 0] = (prev - x[:, t]) * g
+            carry = p * g
+            continue
+        pu, pm, pd = (gates[:, t, :, s] for s in (GATE_PREV, GATE_SAME, GATE_NEXT))
+        up = np.zeros_like(prev)
+        up[1:] = prev[:-1]
+        dn = np.zeros_like(prev)
+        dn[:-1] = prev[1:]
+        dx[:, t] = (1.0 - pu - pm - pd) * g
+        dgates[:, t, :, GATE_PREV] = (up - x[:, t]) * g
+        dgates[:, t, :, GATE_SAME] = (prev - x[:, t]) * g
+        dgates[:, t, :, GATE_NEXT] = (dn - x[:, t]) * g
+        carry = pm * g
+        pug = pu * g
+        carry[:-1] += pug[1:]
+        pdg = pd * g
+        carry[1:] += pdg[:-1]
+    dx[:, 0] = grad[:, 0] + carry
+    if kind == THREE:
+        dgates[0, :, :, GATE_PREV] = 0.0
+        dgates[n - 1, :, :, GATE_NEXT] = 0.0
+    return dx, dgates
+
+
+def ref_spn_forward(x, gate_data, kind, units):
+    caches, cur = [], x
+    for _ in range(units):
+        hs = np.empty((4,) + x.shape, dtype=x.dtype)
+        scans = []
+        for d in Direction:
+            xs = np.ascontiguousarray(_to_scan(cur, d))
+            gs = np.ascontiguousarray(_to_scan(gate_data[:, :, :, d, :], d))
+            h = _ref_scan(xs, gs, kind)
+            hs[d] = _from_scan(h, d)
+            scans.append((d, xs, h, gs))
+        cur, winner = integrate_max(hs)
+        caches.append((scans, winner))
+    return cur, caches
+
+
+def ref_spn_backward(grad, caches, kind):
+    dgates = np.zeros(grad.shape + (4, kind.gates_per_direction), dtype=grad.dtype)
+    g = grad
+    for scans, winner in reversed(caches):
+        per_dir = integrate_max_backward(g, winner)
+        gx = np.zeros_like(g)
+        for d, xs, h, gs in scans:
+            grad_s = np.ascontiguousarray(_to_scan(per_dir[d], d))
+            dxs, dgs = _ref_scan_backward(xs, h, gs, grad_s, kind)
+            gx += _from_scan(dxs, d)
+            dgates[:, :, :, d, :] += _from_scan(dgs, d)
+        g = gx
+    return g, dgates
+
+
+FUSED_GRIDS = [(1, 1), (1, 6), (6, 1), (2, 13), (9, 4), (7, 7)]
+
+
+def _assert_matches_reference(x, gates, kind, units, check):
+    rng = np.random.default_rng(x.size)
+    w = rng.standard_normal(x.shape).astype(x.dtype)
+    out, caches = spn_forward(x, gates, kind, units, check=check)
+    ref_out, ref_caches = ref_spn_forward(x, gates, kind, units)
+    assert out.dtype == x.dtype
+    assert np.array_equal(out, ref_out)
+    for unit, (_, ref_winner) in zip(caches, ref_caches):
+        assert np.array_equal(unit.winner, ref_winner)
+    dx, dg = spn_backward(w, caches)
+    ref_dx, ref_dg = ref_spn_backward(w, ref_caches, kind)
+    assert dx.dtype == ref_dx.dtype and dg.dtype == ref_dg.dtype
+    assert np.array_equal(dx, ref_dx)
+    assert np.array_equal(dg, ref_dg)
+    return caches
+
+
+@pytest.mark.parametrize("height,width", FUSED_GRIDS)
+def test_fused_scan_matches_per_direction_reference(height, width):
+    rng = np.random.default_rng(100 * height + width)
+    for kind in (ONE, THREE):
+        for dtype in (np.float32, np.float64):
+            for units in (1, 3):
+                gates = random_gates(height, width, 3, kind, rng, low=-0.5,
+                                     high=0.6).astype(dtype)
+                x = rng.standard_normal((height, width, 3)).astype(dtype)
+                caches = _assert_matches_reference(x, gates, kind, units, True)
+                # square grids fuse all four directions, others two pairs
+                groups = [sc.stack.directions for sc in caches[0].scans]
+                if height == width:
+                    assert groups == [tuple(Direction)]
+                else:
+                    assert groups == [(Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT),
+                                      (Direction.TOP_TO_BOTTOM, Direction.BOTTOM_TO_TOP)]
+
+
+@pytest.mark.parametrize("height,width", [(5, 5), (4, 7), (1, 3)])
+def test_fused_scan_exact_with_nonzero_boundary_gates(height, width):
+    # check=False callers may leave boundary gates nonzero; the separator
+    # lines must keep stacked directions from reading each other
+    rng = np.random.default_rng(11)
+    for kind in (ONE, THREE):
+        for dtype in (np.float32, np.float64):
+            gates = rng.uniform(-0.3, 0.3, (height, width, 2, 4,
+                                            kind.gates_per_direction)).astype(dtype)
+            assert (gates != 0.0).all()
+            x = rng.standard_normal((height, width, 2)).astype(dtype)
+            _assert_matches_reference(x, gates, kind, 2, False)
+
+
+def test_single_direction_matches_reference():
+    rng = np.random.default_rng(12)
+    for kind in (ONE, THREE):
+        for height, width in ((1, 1), (2, 13), (9, 4), (6, 6)):
+            gates = random_gates(height, width, 2, kind, rng, high=0.3)
+            x = rng.standard_normal((height, width, 2))
+            w = rng.standard_normal(x.shape)
+            for d in Direction:
+                gd = gates[:, :, :, d, :]
+                h, cache = propagate_direction_cached(x, gd, d, kind)
+                xs = np.ascontiguousarray(_to_scan(x, d))
+                gs = np.ascontiguousarray(_to_scan(gd, d))
+                ref_h = _ref_scan(xs, gs, kind)
+                assert np.array_equal(h, _from_scan(ref_h, d))
+                dx, dg = propagate_direction_backward(w, cache)
+                ref_dx, ref_dg = _ref_scan_backward(
+                    xs, ref_h, gs, np.ascontiguousarray(_to_scan(w, d)), kind)
+                assert np.array_equal(dx, _from_scan(ref_dx, d))
+                assert np.array_equal(dg, _from_scan(ref_dg, d))
+
+
+def test_backward_cache_exposes_gate_slot_count():
+    # a caller sizing work from a cache reads the slot count off gates_scan
+    rng = np.random.default_rng(13)
+    for kind in (ONE, THREE):
+        for height, width in ((6, 6), (5, 8)):
+            gates = random_gates(height, width, 2, kind, rng, high=0.3)
+            _, caches = spn_forward(rng.standard_normal((height, width, 2)),
+                                    gates, kind, units=2)
+            assert caches[0].scans[0].gates_scan.shape[-1] == kind.gates_per_direction
+            assert caches[0].scans[0].kind == kind
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@np.errstate(invalid="ignore", over="ignore")
+def test_fused_scan_keeps_non_finite_input_to_its_direction(bad):
+    # with check=False nothing screens x; a non-finite value on a block's
+    # edge line must not cross the separator line into the next direction,
+    # whether or not the boundary gates are zero
+    rng = np.random.default_rng(14)
+    for kind in (ONE, THREE):
+        for height, width in ((7, 7), (6, 9)):
+            for dtype, contract in ((np.float32, True), (np.float64, True),
+                                    (np.float64, False)):
+                gates = (random_gates(height, width, 2, kind, rng, high=0.3)
+                         if contract else
+                         rng.uniform(0.05, 0.3, (height, width, 2, 4,
+                                                 kind.gates_per_direction)))
+                gates = gates.astype(dtype)
+                x = rng.standard_normal((height, width, 2)).astype(dtype)
+                x[height - 1, width // 2, 0] = bad
+                out, caches = spn_forward(x, gates, kind, 1, check=False)
+                ref_out, ref_caches = ref_spn_forward(x, gates, kind, 1)
+                assert np.isfinite(ref_out).any() and not np.isfinite(ref_out).all()
+                assert np.array_equal(out, ref_out, equal_nan=True)
+                w = rng.standard_normal(x.shape).astype(dtype)
+                w[0, width // 2, 1] = bad
+                dx, dg = spn_backward(w, caches)
+                ref_dx, ref_dg = ref_spn_backward(w, ref_caches, kind)
+                assert np.array_equal(dx, ref_dx, equal_nan=True)
+                assert np.array_equal(dg, ref_dg, equal_nan=True)

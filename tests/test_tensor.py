@@ -72,6 +72,17 @@ def test_interp_matrix_rows_are_convex():
         np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_interp_matrix_cached_read_only():
+    r = interp_matrix(7, 13)
+    assert interp_matrix(7, 13) is r
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0, 0] = 0.5
+    for n_in, n_out in ((7, 13), (1, 4), (4, 1), (64, 32), (32, 64)):
+        np.testing.assert_array_equal(interp_matrix(n_in, n_out),
+                                      interp_matrix.__wrapped__(n_in, n_out))
+
+
 def test_resize_constant_map_stays_constant():
     m = map_new(3, 4, 2, fill=0.75)
     out = bilinear_resize(m, 7, 9)
