@@ -11,13 +11,9 @@ from .errors import (
 )
 from .tensor import (
     Map,
-    map_new,
     map_from_array,
-    bilinear_resize,
     read_array,
     write_array,
-    read_tensor,
-    write_tensor,
     read_image_pnm,
     write_image_pnm,
 )
@@ -44,13 +40,9 @@ __all__ = [
     "CheckpointError",
     "TrainingAborted",
     "Map",
-    "map_new",
     "map_from_array",
-    "bilinear_resize",
     "read_array",
     "write_array",
-    "read_tensor",
-    "write_tensor",
     "read_image_pnm",
     "write_image_pnm",
     "Direction",

@@ -25,8 +25,7 @@ from .propagation import (
     ConnectionKind,
     Direction,
     _to_scan,
-    _from_scan,
-    check_direction_boundary,
+    check_boundary_zeros,
     step_matrix,
 )
 
@@ -35,9 +34,7 @@ MAX_ORACLE_PIXELS = 400
 
 def _scan_dims(height: int, width: int, direction: Direction):
     """Canonical (parallel, steps) sizes for a direction."""
-    if direction in (Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT):
-        return height, width
-    return width, height
+    return _to_scan(np.broadcast_to(0, (height, width)), direction).shape
 
 
 def vec_map(x: np.ndarray, direction: Direction) -> np.ndarray:
@@ -53,9 +50,10 @@ def unvec_map(v: np.ndarray, height: int, width: int,
     """Inverse of vec_map; v is (N, C)."""
     if v.ndim != 2 or v.shape[0] != height * width:
         raise DimensionError("unvec_map expects (H*W, C)")
-    n, steps = _scan_dims(height, width, direction)
-    canon = v.reshape(n, steps, v.shape[1], order="F")
-    return _from_scan(canon, direction)
+    out = np.empty((height, width, v.shape[1]), dtype=v.dtype)
+    view = _to_scan(out, direction)
+    view[...] = v.reshape(view.shape, order="F")
+    return out
 
 
 def scan_permutation(height: int, width: int, direction: Direction) -> np.ndarray:
@@ -97,7 +95,7 @@ def build_dense_affinity(gates_dir: np.ndarray, direction: Direction,
     if total > MAX_ORACLE_PIXELS:
         raise DimensionError(
             f"dense build needs {total} pixels, capped at {MAX_ORACLE_PIXELS}")
-    check_direction_boundary(gates_dir, direction, kind)
+    check_boundary_zeros(gates_dir, kind, direction)
     n, steps = _scan_dims(height, width, direction)
     gs = np.ascontiguousarray(_to_scan(gates_dir, direction), dtype=np.float64)
     eye = np.eye(n)

@@ -33,7 +33,9 @@ from .propagation import (
     ConnectionKind,
     Direction,
     DIRECTION_NAMES,
+    KIND_NAMES,
     NAME_TO_DIRECTION,
+    NAME_TO_KIND,
     apply_boundary,
     boundary_mask,
     check_boundary_zeros,
@@ -54,13 +56,6 @@ from .stability import (
 from .tensor import (read_array, read_image_pnm, require_finite, write_array,
                      write_image_pnm)
 
-KINDS = {"one": ConnectionKind.ONE_WAY, "three": ConnectionKind.THREE_WAY}
-
-
-def _kind(name: str) -> ConnectionKind:
-    return KINDS[name]
-
-
 class CheckLog:
     """Collects named pass/fail lines and remembers the overall verdict."""
 
@@ -76,7 +71,7 @@ class CheckLog:
 
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
-    kind = _kind(args.kind)
+    kind = NAME_TO_KIND[args.kind]
     dtype = np.float64 if args.bits == 64 else np.float32
     scan_tol = 1e-10 if args.bits == 64 else 1e-5
     const_tol = 1e-12 if args.bits == 64 else 1e-5
@@ -166,8 +161,8 @@ def cmd_gradcheck(args) -> int:
         return grad + 0.05 * scale * rng.standard_normal(grad.shape)
 
     total = 0
-    for kind_name in ("one", "three"):
-        kind = _kind(kind_name)
+    for kind in ConnectionKind:
+        kind_name = KIND_NAMES[kind]
         d = Direction(int(rng.integers(0, 4)))
         x = rng.standard_normal((5, 6, 2))
         g = random_gates(5, 6, 2, kind, rng, high=0.8 / kind.gates_per_direction)
@@ -242,7 +237,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_affinity(args) -> int:
     rng = np.random.default_rng(args.seed)
-    kind = _kind(args.kind)
+    kind = NAME_TO_KIND[args.kind]
     d = NAME_TO_DIRECTION[args.direction]
     gates = random_gates(args.height, args.width, args.channels, kind, rng,
                          low=-1.0, high=1.0)
@@ -277,7 +272,7 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_impulse(args) -> int:
-    kind = _kind(args.kind)
+    kind = NAME_TO_KIND[args.kind]
     d = NAME_TO_DIRECTION[args.direction]
     k = kind.gates_per_direction
     gates = apply_boundary(
@@ -380,6 +375,16 @@ def cmd_refine(args) -> int:
             f"coarse map is {coarse.shape[0]}x{coarse.shape[1]}, image is "
             f"{image.shape[0]}x{image.shape[1]}")
     require_finite(coarse, f"coarse map {args.coarse}")
+    if args.truth:
+        truth = ds.map_to_labels(read_image_pnm(args.truth))
+        if truth.shape != image.shape[:2]:
+            raise DimensionError(
+                f"truth mask is {truth.shape[0]}x{truth.shape[1]}, image is "
+                f"{image.shape[0]}x{image.shape[1]}")
+        if truth.max() >= arch.classes:
+            raise DimensionError(
+                f"truth mask has label {truth.max()}, checkpoint has "
+                f"{arch.classes} classes")
     allowed = None
     if args.restrict:
         allowed = np.unique(coarse.argmax(axis=2))
@@ -388,7 +393,6 @@ def cmd_refine(args) -> int:
     write_image_pnm(args.out, ds.labels_to_map(pred))
     print(f"wrote {args.out}; class pixel counts: {ds_counts.tolist()}")
     if args.truth:
-        truth = ds.map_to_labels(read_image_pnm(args.truth))
         acc = tr.IoUAccumulator(arch.classes)
         acc.update(pred, truth)
         base = tr.IoUAccumulator(arch.classes)
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=5)
     v.add_argument("--max-size", type=int, default=10)
     v.add_argument("--channels", type=int, default=2)
-    v.add_argument("--kind", choices=sorted(KINDS), default="three")
+    v.add_argument("--kind", choices=sorted(NAME_TO_KIND), default="three")
     v.add_argument("--bits", type=int, choices=(32, 64), default=64)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--inject-fault",
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--height", type=int, default=8)
     a.add_argument("--width", type=int, default=8)
     a.add_argument("--channels", type=int, default=1)
-    a.add_argument("--kind", choices=sorted(KINDS), default="three")
+    a.add_argument("--kind", choices=sorted(NAME_TO_KIND), default="three")
     a.add_argument("--direction", choices=sorted(NAME_TO_DIRECTION), default="ltr")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out-csv", default=None)
@@ -440,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--row", type=int, default=4)
     i.add_argument("--col", type=int, default=0)
     i.add_argument("--direction", choices=sorted(NAME_TO_DIRECTION), default="ltr")
-    i.add_argument("--kind", choices=sorted(KINDS), default="three")
+    i.add_argument("--kind", choices=sorted(NAME_TO_KIND), default="three")
     i.add_argument("--gate-value", type=float, default=1.0 / 3.0)
     i.add_argument("--out", default=None)
     i.set_defaults(fn=cmd_impulse)
@@ -471,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--prop-channels", type=int, dest="prop_channels")
     t.add_argument("--widths")
     t.add_argument("--scale", type=int)
-    t.add_argument("--kind", choices=sorted(KINDS))
+    t.add_argument("--kind", choices=sorted(NAME_TO_KIND))
     t.add_argument("--post-gain", type=float, dest="post_gain")
     t.add_argument("--time-limit", type=float, dest="time_limit")
     t.add_argument("--threads", type=int)

@@ -23,6 +23,7 @@ from .tensor import (
     map_from_array,
     read_array,
     read_image_pnm,
+    read_key_values,
     require_finite,
     resize_array,
     write_array,
@@ -206,13 +207,7 @@ def read_manifest(root) -> tuple[dict, dict]:
     if not path.is_file():
         raise FormatError(f"no manifest.txt under {root}")
     meta, items = {}, {}
-    for ln, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"manifest line {ln} is not key=value")
-        key, _, value = line.partition("=")
+    for ln, key, value in read_key_values(path, FormatError):
         if key.startswith("item."):
             parts = value.split(",")
             if len(parts) != 4 or parts[0] not in ("train", "val"):

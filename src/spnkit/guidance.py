@@ -13,14 +13,16 @@ views of a zero-padded input and contract them against the kernel.
 """
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, DimensionError, FormatError
-from .propagation import ConnectionKind
-from .tensor import interp_matrix, read_array, resize_array, write_array
+from .propagation import KIND_NAMES, NAME_TO_KIND, ConnectionKind
+from .tensor import (interp_matrix, read_array, read_key_values, require_finite,
+                     resize_array, write_array)
 
 
 def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
@@ -83,10 +85,6 @@ def resize_backward(grad: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
     return np.moveaxis(out, 2, 1).astype(grad.dtype)
 
 
-_KIND_NAMES = {ConnectionKind.ONE_WAY: "one", ConnectionKind.THREE_WAY: "three"}
-_NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
-
-
 @dataclass(frozen=True)
 class Architecture:
     """Shape contract shared by the network, the trainer, and checkpoints."""
@@ -119,7 +117,7 @@ class Architecture:
             f"widths={','.join(str(w) for w in self.widths)}",
             f"prop_channels={self.prop_channels}",
             f"classes={self.classes}",
-            f"kind={_KIND_NAMES[self.kind]}",
+            f"kind={KIND_NAMES[self.kind]}",
             f"scale={self.scale}",
             f"units={self.units}",
         ]
@@ -132,7 +130,7 @@ class Architecture:
                 widths=tuple(int(s) for s in kv["widths"].split(",")),
                 prop_channels=int(kv["prop_channels"]),
                 classes=int(kv["classes"]),
-                kind=_NAME_KINDS[kv["kind"]],
+                kind=NAME_TO_KIND[kv["kind"]],
                 scale=int(kv["scale"]),
                 units=int(kv["units"]),
             )
@@ -257,19 +255,38 @@ def relu_signature(cache: dict) -> bytes:
 
 def checkpoint_save(directory, arch: Architecture, params: dict,
                     meta: dict | None = None) -> None:
-    """Write parameters (one tensor file each) plus a manifest."""
+    """Write parameters (one tensor file each) plus a manifest.
+
+    The directory holds one checkpoint and nothing else. The files are
+    written into a sibling temporary directory, which then replaces
+    `directory` by two renames, so a failed save leaves the previous
+    checkpoint whole and removes the temporary directory. A crash between
+    the two renames leaves no `directory`, which loads as an error, never
+    as a mix of old and new parameters.
+    """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    lines = ["format=spn-checkpoint-v1"]
-    lines += arch.to_lines()
-    for key, value in sorted((meta or {}).items()):
-        lines.append(f"meta.{key}={value}")
-    for key in sorted(params):
-        fname = key.replace(".", "_") + ".spnt"
-        arr = params[key]
-        write_array(d / fname, arr if arr.ndim > 0 else arr[None])
-        lines.append(f"param.{key}={fname}")
-    (d / "manifest.txt").write_text("\n".join(lines) + "\n")
+    tmp, old = d.with_name(f".{d.name}.tmp"), d.with_name(f".{d.name}.old")
+    for leftover in (tmp, old):  # from a save that crashed
+        shutil.rmtree(leftover, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        lines = ["format=spn-checkpoint-v1"]
+        lines += arch.to_lines()
+        for key, value in sorted((meta or {}).items()):
+            lines.append(f"meta.{key}={value}")
+        for key in sorted(params):
+            fname = key.replace(".", "_") + ".spnt"
+            arr = params[key]
+            write_array(tmp / fname, arr if arr.ndim > 0 else arr[None])
+            lines.append(f"param.{key}={fname}")
+        (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
+    except BaseException:
+        shutil.rmtree(tmp)
+        raise
+    d.rename(old)
+    tmp.rename(d)
+    shutil.rmtree(old)
 
 
 def checkpoint_load(directory):
@@ -279,13 +296,7 @@ def checkpoint_load(directory):
     if not mpath.is_file():
         raise CheckpointError(f"no manifest.txt under {d}")
     kv, files, meta = {}, {}, {}
-    for ln, line in enumerate(mpath.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"manifest line {ln} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
+    for _, key, value in read_key_values(mpath, CheckpointError):
         if key.startswith("param."):
             files[key[6:]] = value
         elif key.startswith("meta."):
@@ -305,6 +316,7 @@ def checkpoint_load(directory):
     for key, fname in files.items():
         try:
             arr = read_array(d / fname)
+            require_finite(arr, key)
         except (OSError, FormatError) as e:
             raise CheckpointError(f"cannot read {key} from {fname}: {e}") from e
         if arr.shape != expected[key]:

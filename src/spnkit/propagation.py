@@ -68,6 +68,9 @@ class ConnectionKind(IntEnum):
         return int(self)
 
 
+KIND_NAMES = {ConnectionKind.ONE_WAY: "one", ConnectionKind.THREE_WAY: "three"}
+NAME_TO_KIND = {v: k for k, v in KIND_NAMES.items()}
+
 # Gate slot order for THREE_WAY, indexing the previous-line neighbor by its
 # offset in the in-line coordinate: -1, 0, +1.
 GATE_PREV = 0
@@ -86,38 +89,17 @@ def _to_scan(arr: np.ndarray, direction: Direction) -> np.ndarray:
     return arr.swapaxes(0, 1)[:, ::-1]
 
 
-def _from_scan(arr: np.ndarray, direction: Direction) -> np.ndarray:
-    if direction == Direction.LEFT_TO_RIGHT:
-        return arr
-    if direction == Direction.RIGHT_TO_LEFT:
-        return arr[:, ::-1]
-    if direction == Direction.TOP_TO_BOTTOM:
-        return arr.swapaxes(0, 1)
-    return arr[:, ::-1].swapaxes(0, 1)
-
-
-def _canonical_mask(n: int, length: int, kind: ConnectionKind) -> np.ndarray:
-    k = kind.gates_per_direction
-    m = np.zeros((n, length, k), dtype=bool)
-    m[:, 0, :] = True
-    if kind == ConnectionKind.THREE_WAY:
-        m[0, :, GATE_PREV] = True
-        m[n - 1, :, GATE_NEXT] = True
-    return m
-
-
 def boundary_mask(height: int, width: int, kind: ConnectionKind) -> np.ndarray:
     """Boolean (H, W, 4, K) array, True where a gate is required to be zero."""
     if height < 1 or width < 1:
         raise DimensionError("grid dimensions must be >= 1")
-    k = kind.gates_per_direction
-    mask = np.zeros((height, width, 4, k), dtype=bool)
+    mask = np.zeros((height, width, 4, kind.gates_per_direction), dtype=bool)
     for d in Direction:
-        if d in (Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT):
-            cm = _canonical_mask(height, width, kind)
-        else:
-            cm = _canonical_mask(width, height, kind)
-        mask[:, :, d, :] = _from_scan(cm, d)
+        m = _to_scan(mask[:, :, d, :], d)
+        m[:, 0, :] = True
+        if kind == ConnectionKind.THREE_WAY:
+            m[0, :, GATE_PREV] = True
+            m[-1, :, GATE_NEXT] = True
     return mask
 
 
@@ -129,55 +111,23 @@ def apply_boundary(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GateTensor:
-    """Per-pixel propagation weights, (H, W, C, 4, K), shared by all units.
+def check_boundary_zeros(gate_data: np.ndarray, kind: ConnectionKind,
+                         direction: Direction | None = None) -> None:
+    """Raise ContractError if any gate that must be zero is not exactly zero.
 
-    Axis 3 is the scan direction, axis 4 the neighbor slot. The boundary
-    contract (see module docstring) is checked at construction.
+    `gate_data` holds all directions' (H, W, C, 4, K) gates, or, when
+    `direction` is given, that direction's (H, W, C, K) gates.
     """
-
-    data: np.ndarray
-    kind: ConnectionKind
-
-    def __post_init__(self):
-        arr = self.data
-        k = self.kind.gates_per_direction
-        if not isinstance(arr, np.ndarray) or arr.ndim != 5:
-            raise DimensionError("gate data must be a (H, W, C, 4, K) array")
-        if arr.shape[3] != 4 or arr.shape[4] != k:
-            raise DimensionError(
-                f"gate data shaped {arr.shape}, expected (H, W, C, 4, {k})")
-        if arr.dtype not in (np.float32, np.float64):
-            raise DimensionError(f"gate dtype must be float32 or float64, got {arr.dtype}")
-        if not np.isfinite(arr).all():
-            raise DimensionError("gate entries must all be finite")
-        check_boundary_zeros(arr, self.kind)
-        arr = np.ascontiguousarray(arr).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-def check_boundary_zeros(gate_data: np.ndarray, kind: ConnectionKind) -> None:
-    """Raise ContractError if any gate that must be zero is not exactly zero."""
-    mask = boundary_mask(gate_data.shape[0], gate_data.shape[1], kind)
-    bad = (gate_data != 0.0) & mask[:, :, None, :, :]
+    mask = boundary_mask(gate_data.shape[0], gate_data.shape[1], kind)[:, :, None]
+    where = "(row, col, chan, dir, slot)"
+    if direction is not None:
+        mask = mask[:, :, :, direction]
+        where = f"direction {DIRECTION_NAMES[direction]}, (row, col, chan, slot)"
+    bad = (gate_data != 0.0) & mask
     if bad.any():
         i = np.argwhere(bad)[0]
         raise ContractError(
-            "boundary gate must be zero at (row, col, chan, dir, slot)="
+            f"boundary gate must be zero at {where}="
             f"{tuple(int(v) for v in i)}, found {gate_data[tuple(i)]!r}")
 
 
@@ -234,10 +184,11 @@ class ScanStack:
             out[:, self.rows(b)] = _step_major(g, d)
         return out
 
-    def unstack(self, arr: np.ndarray) -> list:
-        """Each direction's block of a (steps, rows, C) array, as a grid view."""
-        return [_from_scan(arr[:, self.rows(b)].swapaxes(0, 1), d)
-                for b, d in enumerate(self.directions)]
+    def unstack(self, arr: np.ndarray, grids) -> None:
+        """Write each direction's block of a (steps, rows, C) array into its
+        (H, W, C) grid in `grids`, one per direction as for `stack`."""
+        for b, (g, d) in enumerate(zip(grids, self.directions)):
+            _step_major(g, d)[...] = arr[:, self.rows(b)]
 
 
 @dataclass
@@ -292,14 +243,14 @@ def _scan(stack: ScanStack, grids) -> ScanCache:
     return ScanCache(stack, xs, h)
 
 
-def _scan_backward(cache: ScanCache, grads, dgates_out) -> list:
-    """Exact reverse pass of one fused scan.
+def _scan_backward(cache: ScanCache, grads, dgates_out) -> None:
+    """Exact reverse pass of one fused scan, in place.
 
     `grads` holds one upstream (H, W, C) gradient per direction of the
-    stack. Each direction's gate gradient is added into its (H, W, C, K)
-    array in `dgates_out`, except at gate positions the boundary contract
-    pins to zero: those entries are not free parameters and are left as
-    they are. Returns each direction's input gradient in grid orientation.
+    stack; each is overwritten with that direction's input gradient. Each
+    direction's gate gradient is added into its (H, W, C, K) array in
+    `dgates_out`, except at gate positions the boundary contract pins to
+    zero: those entries are not free parameters and are left as they are.
     """
     st = cache.stack
     g = st.stack(grads)
@@ -338,7 +289,7 @@ def _scan_backward(cache: ScanCache, grads, dgates_out) -> list:
             target[:, lo:hi, :, k] += part
     dx = st.coef * g
     dx[0] = g[0]
-    return st.unstack(dx)
+    st.unstack(dx, grads)
 
 
 def _check_inputs(x: np.ndarray, gates_dir: np.ndarray, kind: ConnectionKind):
@@ -361,30 +312,20 @@ def propagate_direction(x: np.ndarray, gates_dir: np.ndarray,
 def propagate_direction_cached(x, gates_dir, direction, kind, check=True):
     _check_inputs(x, gates_dir, kind)
     if check:
-        check_direction_boundary(gates_dir, direction, kind)
+        check_boundary_zeros(gates_dir, kind, direction)
     stack = ScanStack([gates_dir], (direction,), kind, x.dtype)
     cache = _scan(stack, [x])
-    return stack.unstack(cache.h_scan)[0], cache
-
-
-def check_direction_boundary(gates_dir, direction, kind):
-    """Boundary contract check for a single direction's (H, W, C, K) gates."""
-    gs = _to_scan(gates_dir, direction)
-    n, length = gs.shape[0], gs.shape[1]
-    cm = _canonical_mask(n, length, kind)
-    bad = (gs != 0.0) & cm[:, :, None, :]
-    if bad.any():
-        i = np.argwhere(bad)[0]
-        raise ContractError(
-            f"boundary gate must be zero for direction {DIRECTION_NAMES[direction]}"
-            f" at scan position (line-index, step, chan, slot)={tuple(int(v) for v in i)}")
+    h = np.empty_like(x)
+    stack.unstack(cache.h_scan, [h])
+    return h, cache
 
 
 def propagate_direction_backward(grad: np.ndarray, cache: ScanCache):
     """Gradients of a single scan. Returns (dx, dgates) in grid orientation."""
     k = cache.kind.gates_per_direction
     dgates = np.zeros(grad.shape + (k,), dtype=cache.x_scan.dtype)
-    (dx,) = _scan_backward(cache, [grad], [dgates])
+    dx = grad.astype(cache.x_scan.dtype)
+    _scan_backward(cache, [dx], [dgates])
     return dx, dgates
 
 
@@ -441,8 +382,7 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
         hs = np.empty((4,) + x.shape, dtype=x.dtype)
         scans = [_scan(st, [cur] * len(st.directions)) for st in stacks]
         for sc in scans:
-            for d, h in zip(sc.stack.directions, sc.stack.unstack(sc.h_scan)):
-                hs[d] = h
+            sc.stack.unstack(sc.h_scan, [hs[d] for d in sc.stack.directions])
         cur, winner = integrate_max(hs)
         caches.append(UnitCache(scans, winner))
     return cur, caches
@@ -451,17 +391,16 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
 def spn_backward(grad: np.ndarray, caches: list):
     """Gradients of spn_forward: returns (dx, dgates (H, W, C, 4, K))."""
     k = caches[0].scans[0].kind.gates_per_direction
+    dtype = caches[0].scans[0].x_scan.dtype  # the scans compute in the forward dtype
     dgates = np.zeros(grad.shape + (4, k), dtype=grad.dtype)
     g = grad
     for unit in reversed(caches):
-        per_dir = integrate_max_backward(g, unit.winner)
-        dx = [None] * 4
+        # the scans overwrite each direction's gradient with its input gradient
+        dx = integrate_max_backward(g, unit.winner).astype(dtype, copy=False)
         for sc in unit.scans:
             dirs = sc.stack.directions
-            parts = _scan_backward(sc, [per_dir[d] for d in dirs],
-                                   [dgates[:, :, :, d, :] for d in dirs])
-            for d, part in zip(dirs, parts):
-                dx[d] = part
+            _scan_backward(sc, [dx[d] for d in dirs],
+                           [dgates[:, :, :, d, :] for d in dirs])
         g = dx[0] + dx[1] + dx[2] + dx[3]
     return g, dgates
 

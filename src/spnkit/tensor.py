@@ -1,9 +1,10 @@
-"""Dense grid values, bilinear resizing, and bit-exact file formats.
+"""Bilinear resizing and the file formats.
 
-A :class:`Map` is a (height, width, channels) float grid in row-major order,
-32-bit by default with a 64-bit mode for oracle verification. Two file formats
-are supported: a small binary tensor container ("SPNT") for exact round-trips,
-and binary PGM/PPM images for 1- and 3-channel data.
+Three formats are read and written here: a small binary tensor container
+("SPNT") for bit-exact array round-trips, binary PGM/PPM images for 1- and
+3-channel data, and the `key=value` text lines of configs and manifests.
+Images cross the PNM boundary as a :class:`Map`, a validated (height, width,
+channels) float grid.
 """
 from __future__ import annotations
 
@@ -59,31 +60,11 @@ class Map:
     def channels(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
 
-    def astype(self, dtype) -> "Map":
-        return Map(self.data.astype(dtype))
-
-
-def map_new(height: int, width: int, channels: int, fill: float = 0.0,
-            dtype=np.float32) -> Map:
-    """Create a constant map. All dimensions must be >= 1."""
-    for name, d in (("height", height), ("width", width), ("channels", channels)):
-        if int(d) != d or d < 1:
-            raise DimensionError(f"{name} must be a positive integer, got {d}")
-    if height * width * channels > MAX_ELEMENTS:
-        raise DimensionError("requested map is too large")
-    return Map(np.full((height, width, channels), fill, dtype=dtype))
-
-
-def map_from_array(arr, dtype=None) -> Map:
-    """Wrap an array-like as a Map, optionally converting the dtype."""
+def map_from_array(arr) -> Map:
+    """Wrap an array-like as a Map; non-float data is converted to float32."""
     a = np.asarray(arr)
-    if dtype is not None:
-        a = a.astype(dtype)
-    elif a.dtype not in (np.float32, np.float64):
+    if a.dtype not in (np.float32, np.float64):
         a = a.astype(np.float32)
     if a.ndim == 2:
         a = a[:, :, None]
@@ -124,13 +105,6 @@ def resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     tmp = np.tensordot(rh, arr.astype(np.float64, copy=False), axes=(1, 0))
     out = np.tensordot(tmp, rw, axes=(1, 1))          # (out_h, C, out_w)
     return np.moveaxis(out, 2, 1).astype(arr.dtype)
-
-
-def bilinear_resize(m: Map, out_h: int, out_w: int) -> Map:
-    """Resize a map with corner-aligned bilinear interpolation."""
-    if out_h < 1 or out_w < 1:
-        raise DimensionError("output dimensions must be >= 1")
-    return Map(resize_array(m.data, out_h, out_w))
 
 
 def write_array(path, arr: np.ndarray) -> None:
@@ -189,15 +163,22 @@ def require_finite(arr: np.ndarray, what: str) -> None:
         raise FormatError(f"{what} has a non-finite value {float(arr[i])} at index {i}")
 
 
-def write_tensor(path, m: Map) -> None:
-    write_array(path, m.data)
+def read_key_values(path, error: type) -> list:
+    """Read a `key=value` text file as (line number, key, value) triples.
 
-
-def read_tensor(path) -> Map:
-    arr = read_array(path)
-    if arr.ndim != 3:
-        raise FormatError(f"expected a rank-3 map, file holds rank {arr.ndim}")
-    return Map(arr)
+    Blank lines and lines starting with '#' are skipped; keys and values are
+    stripped. Any other line without '=' raises `error` naming its number.
+    """
+    out = []
+    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{path}: line {ln} is not key=value: {line!r}")
+        out.append((ln, key.strip(), value.strip()))
+    return out
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:

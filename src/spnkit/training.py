@@ -41,14 +41,13 @@ from .guidance import (
     resize_backward,
     resize_forward,
 )
-from .propagation import ConnectionKind, boundary_mask, spn_backward, spn_forward
+from .propagation import NAME_TO_KIND, boundary_mask, spn_backward, spn_forward
 from .stability import (
     project_gates_backward,
     project_gates_cached,
     verify_stability,
 )
-
-_KINDS = {"one": ConnectionKind.ONE_WAY, "three": ConnectionKind.THREE_WAY}
+from .tensor import read_key_values
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,9 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"kind must be one of {sorted(_KINDS)}, got {self.kind!r}")
+        if self.kind not in NAME_TO_KIND:
+            raise ConfigError(
+                f"kind must be one of {sorted(NAME_TO_KIND)}, got {self.kind!r}")
         if self.epochs < 1 or self.batch < 1 or self.threads < 1:
             raise ConfigError("epochs, batch, and threads must be >= 1")
         if self.lr < 0 or not 0 <= self.momentum < 1:
@@ -96,15 +96,7 @@ class TrainConfig:
 
     @staticmethod
     def from_file(path) -> "TrainConfig":
-        kv = {}
-        for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"config line {ln} is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+        kv = {key: value for _, key, value in read_key_values(path, ConfigError)}
         return TrainConfig.from_mapping(kv)
 
     def architecture(self, classes: int, image_channels: int = 3) -> Architecture:
@@ -113,7 +105,7 @@ class TrainConfig:
             widths=tuple(int(s) for s in self.widths.split(",")),
             prop_channels=self.prop_channels,
             classes=classes,
-            kind=_KINDS[self.kind],
+            kind=NAME_TO_KIND[self.kind],
             scale=self.scale,
             units=self.units,
         )
@@ -163,17 +155,24 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
         params[key] += v
 
 
+def build_gates(params: dict, arch: Architecture, image: np.ndarray):
+    """Guidance gates for `image` at 1/`arch.scale` size, boundary-masked and
+    projected. Returns (gates, valid, gcache, pcache); `valid` is False where
+    the boundary contract pins a gate to zero."""
+    hp = max(1, image.shape[0] // arch.scale)
+    wp = max(1, image.shape[1] // arch.scale)
+    raw, gcache = guidance_forward(params, arch, image, hp, wp)
+    valid = ~boundary_mask(hp, wp, arch.kind)[:, :, None, :, :]
+    gates, pcache = project_gates_cached(raw * valid, arch.kind)
+    return gates, valid, gcache, pcache
+
+
 def pipeline_forward(params: dict, arch: Architecture, image: np.ndarray,
                      coarse: np.ndarray):
     """Full model: image + coarse probabilities to full-resolution logits."""
     h, w = image.shape[:2]
-    hp = max(1, h // arch.scale)
-    wp = max(1, w // arch.scale)
-    raw, gcache = guidance_forward(params, arch, image, hp, wp)
-    valid = ~boundary_mask(hp, wp, arch.kind)[:, :, None, :, :]
-    masked = raw * valid
-    gates, pcache = project_gates_cached(masked, arch.kind)
-    low = resize_forward(coarse, hp, wp)
+    gates, valid, gcache, pcache = build_gates(params, arch, image)
+    low = resize_forward(coarse, gates.shape[0], gates.shape[1])
     zpre, cpre = conv3x3_forward(low, params["pre.w"], params["pre.b"], 1)
     apre, mpre = relu_forward(zpre)
     hidden, scaches = spn_forward(apre, gates.astype(apre.dtype), arch.kind,
@@ -344,12 +343,9 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None) -> TrainResult:
                 sgd_step(params, grads, velocity, config.lr, config.momentum)
                 losses.append(batch_loss / len(batch))
 
-            image0 = val_samples[0][0]
-            hp = max(1, image0.shape[0] // arch.scale)
-            wp = max(1, image0.shape[1] // arch.scale)
-            raw, _ = guidance_forward(params, arch, image0, hp, wp)
-            valid = ~boundary_mask(hp, wp, arch.kind)[:, :, None, :, :]
-            gates, _ = project_gates_cached(raw * valid, arch.kind)
+            # keep only the gates: caches held through `evaluate` below
+            # would raise the run's peak memory
+            gates = build_gates(params, arch, val_samples[0][0])[0]
             health = verify_stability(gates, arch.kind)
             if not health.ok:
                 raise ContractError(f"gate projection failed to bound gates: {health}")

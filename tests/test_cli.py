@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spnkit.cli import main
-from spnkit.dataset import gen_toy_dataset, map_to_labels
-from spnkit.tensor import read_array, read_image_pnm, write_array
+from spnkit.dataset import gen_toy_dataset, labels_to_map, map_to_labels
+from spnkit.tensor import read_array, read_image_pnm, write_array, write_image_pnm
 
 
 def run(capsys, *argv):
@@ -172,14 +172,17 @@ def test_refine_writes_mask(capsys, trained, tmp_path):
     assert "refined IoU" in out
 
 
-def _refine(capsys, trained, tmp_path, coarse):
+def _refine(capsys, trained, tmp_path, coarse=None, truth=None, checkpoint=None):
     ds_dir, out_dir = trained
+    if coarse is None:
+        coarse = read_array(ds_dir / "coarse" / "0009.spnt")
     write_array(tmp_path / "coarse.spnt", coarse)
     pred = tmp_path / "pred.pgm"
-    rc, _, err = run(capsys, "refine", "--checkpoint", str(out_dir / "best"),
+    rc, _, err = run(capsys, "refine",
+                     "--checkpoint", str(checkpoint or out_dir / "best"),
                      "--image", str(ds_dir / "images" / "0009.ppm"),
                      "--coarse", str(tmp_path / "coarse.spnt"),
-                     "--out", str(pred))
+                     "--out", str(pred), *(["--truth", str(truth)] if truth else []))
     return rc, err, pred
 
 
@@ -198,4 +201,38 @@ def test_refine_rejects_nonfinite_coarse(capsys, trained, tmp_path):
     rc, err, pred = _refine(capsys, trained, tmp_path, coarse)
     assert rc == 2
     assert "(4, 7, 0)" in err
+    assert not pred.exists()
+
+
+def test_refine_rejects_nonfinite_checkpoint(capsys, trained, tmp_path):
+    import shutil
+    _, out_dir = trained
+    ck = tmp_path / "ck"
+    shutil.copytree(out_dir / "best", ck)
+    post_b = read_array(ck / "post_b.spnt")
+    post_b[1] = np.nan
+    write_array(ck / "post_b.spnt", post_b)
+    rc, err, pred = _refine(capsys, trained, tmp_path, checkpoint=ck)
+    assert rc == 2
+    assert "post.b" in err and "non-finite" in err
+    assert not pred.exists()
+
+
+def test_refine_rejects_truth_of_other_size(capsys, trained, tmp_path):
+    truth = tmp_path / "truth.pgm"
+    write_image_pnm(truth, labels_to_map(np.zeros((16, 20), dtype=np.int32)))
+    rc, err, pred = _refine(capsys, trained, tmp_path, truth=truth)
+    assert rc == 2
+    assert "16x20" in err and "16x16" in err
+    assert not pred.exists()
+
+
+def test_refine_rejects_truth_label_out_of_range(capsys, trained, tmp_path):
+    labels = np.zeros((16, 16), dtype=np.int32)
+    labels[3, 4] = 2
+    truth = tmp_path / "truth.pgm"
+    write_image_pnm(truth, labels_to_map(labels))
+    rc, err, pred = _refine(capsys, trained, tmp_path, truth=truth)
+    assert rc == 2
+    assert "label 2" in err and "2 classes" in err
     assert not pred.exists()

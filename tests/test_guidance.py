@@ -233,3 +233,37 @@ def test_checkpoint_missing_param_file(tmp_path):
     (tmp_path / "ck" / "post_b.spnt").unlink()
     with pytest.raises(CheckpointError, match="post.b"):
         checkpoint_load(tmp_path / "ck")
+
+
+def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
+    import spnkit.guidance as guidance
+    arch = small_arch()
+    old = init_params(arch, np.random.default_rng(12))
+    checkpoint_save(tmp_path / "ck", arch, old, meta={"epoch": 1})
+    real_write, calls = guidance.write_array, []
+
+    def failing_write(path, arr):
+        calls.append(path)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        real_write(path, arr)
+
+    monkeypatch.setattr(guidance, "write_array", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint_save(tmp_path / "ck", arch,
+                        init_params(arch, np.random.default_rng(13)), meta={"epoch": 2})
+    assert len(calls) == 5
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    _, params, meta = checkpoint_load(tmp_path / "ck")
+    assert meta == {"epoch": "1"}
+    for k in old:
+        assert params[k].tobytes() == old[k].tobytes()
+
+
+def test_checkpoint_load_rejects_nonfinite(tmp_path):
+    from spnkit.tensor import write_array
+    arch = small_arch()
+    checkpoint_save(tmp_path / "ck", arch, init_params(arch, np.random.default_rng(14)))
+    write_array(tmp_path / "ck" / "post_b.spnt", np.array([0.0, np.nan], dtype=np.float32))
+    with pytest.raises(CheckpointError, match=r"post\.b.*non-finite"):
+        checkpoint_load(tmp_path / "ck")

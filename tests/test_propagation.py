@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from spnkit.errors import ContractError, DimensionError
+from spnkit.errors import ContractError
 from spnkit.fdcheck import check_gradient
 from spnkit.propagation import (
     Direction,
     ConnectionKind,
-    GateTensor,
-    _from_scan,
     _to_scan,
     GATE_PREV,
     GATE_SAME,
@@ -128,17 +126,6 @@ def test_boundary_contract_raises():
     g3[0, 1, 0, GATE_PREV] = 0.1  # top row has no upper diagonal neighbor
     with pytest.raises(ContractError):
         propagate_direction(x, g3, Direction.LEFT_TO_RIGHT, THREE)
-
-
-def test_gate_tensor_validation():
-    with pytest.raises(DimensionError):
-        GateTensor(np.zeros((2, 2, 1, 3, 1)), ONE)
-    bad = np.zeros((2, 2, 1, 4, 1))
-    bad[:, 0, 0, Direction.LEFT_TO_RIGHT, 0] = 0.3
-    with pytest.raises(ContractError):
-        GateTensor(bad, ONE)
-    ok = GateTensor(apply_boundary(np.full((2, 2, 1, 4, 1), 0.5), ONE), ONE)
-    assert ok.height == 2 and ok.channels == 1
 
 
 def test_boundary_mask_counts():
@@ -374,6 +361,17 @@ def _ref_scan_backward(x, h, gates, grad, kind):
         dgates[0, :, :, GATE_PREV] = 0.0
         dgates[n - 1, :, :, GATE_NEXT] = 0.0
     return dx, dgates
+
+
+def _from_scan(arr, direction):
+    """Inverse of `_to_scan`: scan coordinates back to grid orientation."""
+    if direction == Direction.LEFT_TO_RIGHT:
+        return arr
+    if direction == Direction.RIGHT_TO_LEFT:
+        return arr[:, ::-1]
+    if direction == Direction.TOP_TO_BOTTOM:
+        return arr.swapaxes(0, 1)
+    return arr[:, ::-1].swapaxes(0, 1)
 
 
 def ref_spn_forward(x, gate_data, kind, units):

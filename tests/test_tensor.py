@@ -2,36 +2,18 @@ import numpy as np
 import pytest
 
 from spnkit import (
+    CheckpointError,
+    ConfigError,
     DimensionError,
     FormatError,
     Map,
-    bilinear_resize,
     map_from_array,
-    map_new,
     read_array,
     read_image_pnm,
-    read_tensor,
     write_array,
     write_image_pnm,
-    write_tensor,
 )
 from spnkit.tensor import interp_matrix, resize_array
-
-
-def test_map_new_fill_and_shape():
-    m = map_new(4, 5, 2, fill=1.5)
-    assert m.data.shape == (4, 5, 2)
-    assert m.dtype == np.float32
-    assert np.all(m.data == 1.5)
-
-
-def test_map_new_rejects_bad_dims():
-    with pytest.raises(DimensionError):
-        map_new(0, 3, 1)
-    with pytest.raises(DimensionError):
-        map_new(3, -1, 1)
-    with pytest.raises(DimensionError):
-        map_new(3, 3, 0)
 
 
 def test_map_rejects_nonfinite():
@@ -53,7 +35,7 @@ def test_map_is_immutable_and_copies():
 def test_map_from_array_promotes_2d():
     m = map_from_array(np.arange(6).reshape(2, 3))
     assert m.data.shape == (2, 3, 1)
-    assert m.dtype == np.float32
+    assert m.data.dtype == np.float32
 
 
 def test_interp_matrix_identity():
@@ -84,26 +66,26 @@ def test_interp_matrix_cached_read_only():
 
 
 def test_resize_constant_map_stays_constant():
-    m = map_new(3, 4, 2, fill=0.75)
-    out = bilinear_resize(m, 7, 9)
-    assert out.data.shape == (7, 9, 2)
-    np.testing.assert_allclose(out.data, 0.75, atol=1e-6)
+    arr = np.full((3, 4, 2), 0.75, dtype=np.float32)
+    out = resize_array(arr, 7, 9)
+    assert out.shape == (7, 9, 2) and out.dtype == np.float32
+    np.testing.assert_allclose(out, 0.75, atol=1e-6)
 
 
 def test_resize_2x2_to_3x3_center():
     # corners 1,1,2,2 -> center is the average, 1.5
-    m = map_from_array(np.array([[1.0, 1.0], [2.0, 2.0]], dtype=np.float32))
-    out = bilinear_resize(m, 3, 3)
-    assert out.data[1, 1, 0] == pytest.approx(1.5)
-    np.testing.assert_allclose(out.data[0, :, 0], 1.0)
-    np.testing.assert_allclose(out.data[2, :, 0], 2.0)
+    arr = np.array([[1.0, 1.0], [2.0, 2.0]], dtype=np.float32)[:, :, None]
+    out = resize_array(arr, 3, 3)
+    assert out[1, 1, 0] == pytest.approx(1.5)
+    np.testing.assert_allclose(out[0, :, 0], 1.0)
+    np.testing.assert_allclose(out[2, :, 0], 2.0)
 
 
 def test_resize_same_size_is_identity():
     rng = np.random.default_rng(3)
     arr = rng.standard_normal((5, 6, 3)).astype(np.float32)
-    out = bilinear_resize(Map(arr), 5, 6)
-    np.testing.assert_array_equal(out.data, arr)
+    out = resize_array(arr, 5, 6)
+    np.testing.assert_array_equal(out, arr)
 
 
 def test_resize_respects_min_max():
@@ -117,7 +99,7 @@ def test_resize_respects_min_max():
 
 def test_resize_rejects_bad_output():
     with pytest.raises(DimensionError):
-        bilinear_resize(map_new(2, 2, 1), 0, 3)
+        resize_array(np.zeros((2, 2, 1), dtype=np.float32), 0, 3)
 
 
 def test_tensor_roundtrip_bitexact_f32(tmp_path):
@@ -139,14 +121,6 @@ def test_tensor_roundtrip_bitexact_f64(tmp_path):
     assert back.dtype == np.float64
     assert back.shape == (2, 5)
     assert back.tobytes() == arr.tobytes()
-
-
-def test_tensor_map_roundtrip(tmp_path):
-    m = map_new(2, 3, 1, fill=0.25, dtype=np.float64)
-    p = tmp_path / "m.spnt"
-    write_tensor(p, m)
-    back = read_tensor(p)
-    np.testing.assert_array_equal(back.data, m.data)
 
 
 def test_tensor_bad_magic(tmp_path):
@@ -244,4 +218,42 @@ def test_pnm_write_clamps(tmp_path):
 
 def test_pnm_rejects_2_channels(tmp_path):
     with pytest.raises(DimensionError):
-        write_image_pnm(tmp_path / "n.pgm", map_new(2, 2, 2))
+        write_image_pnm(tmp_path / "n.pgm", map_from_array(np.zeros((2, 2, 2))))
+
+
+def _config_case(path):
+    from spnkit.training import TrainConfig
+    path.write_text("\n".join(TrainConfig(epochs=3).to_lines()) + "\n")
+    return path, lambda: TrainConfig.from_file(path), ConfigError
+
+
+def _checkpoint_case(path):
+    from spnkit.guidance import Architecture, checkpoint_load, checkpoint_save, init_params
+    arch = Architecture(widths=(2, 3, 4), prop_channels=2)
+    checkpoint_save(path, arch, init_params(arch, np.random.default_rng(0)),
+                    meta={"epoch": 1})
+
+    def load():
+        arch, params, meta = checkpoint_load(path)
+        return arch, {k: v.tobytes() for k, v in params.items()}, meta
+    return path / "manifest.txt", load, CheckpointError
+
+
+def _dataset_case(path):
+    from spnkit.dataset import gen_toy_dataset, read_manifest
+    gen_toy_dataset(path, n_train=1, n_val=1, size=8, classes=2, seed=0)
+    return path / "manifest.txt", lambda: read_manifest(path), FormatError
+
+
+@pytest.mark.parametrize("case", [_config_case, _checkpoint_case, _dataset_case],
+                         ids=["config", "checkpoint", "dataset"])
+def test_key_value_grammar(tmp_path, case):
+    """Config files and both manifests share one key=value grammar."""
+    text_path, load, error = case(tmp_path / "f")
+    lines = text_path.read_text().splitlines()
+    want = load()
+    text_path.write_text("\n".join(["# comment", " ", lines[0] + "  ", *lines[1:]]) + "\n")
+    assert load() == want
+    text_path.write_text("\n".join([lines[0], "no equals sign", *lines[1:]]) + "\n")
+    with pytest.raises(error, match=r"line 2 is not key=value"):
+        load()
