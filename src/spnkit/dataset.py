@@ -210,7 +210,8 @@ def read_manifest(root) -> tuple[dict, dict]:
     for ln, key, value in read_key_values(path, FormatError):
         if key.startswith("item."):
             parts = value.split(",")
-            if len(parts) != 4 or parts[0] not in ("train", "val"):
+            if (len(parts) != 4 or parts[0] not in ("train", "val")
+                    or not key[5:].isdecimal()):
                 raise FormatError(f"manifest line {ln} is malformed")
             items[int(key[5:])] = parts
         else:

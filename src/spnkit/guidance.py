@@ -46,20 +46,22 @@ def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1
     return y.astype(x.dtype), (patches, w, x.shape, stride)
 
 
-def conv3x3_backward(grad: np.ndarray, cache):
-    """Returns (dx, dw, db) for conv3x3_forward."""
+def conv3x3_backward(grad: np.ndarray, cache, need_dx: bool = True):
+    """Returns (dx, dw, db) for conv3x3_forward; dx is None if not `need_dx`."""
     patches, w, x_shape, stride = cache
     h, wd, cin = x_shape
     ho, wo = grad.shape[:2]
-    dw = np.tensordot(patches, grad, axes=([0, 1], [0, 1]))
-    db = grad.sum(axis=(0, 1))
+    dw = np.tensordot(patches, grad, axes=([0, 1], [0, 1])).astype(grad.dtype)
+    db = grad.sum(axis=(0, 1)).astype(grad.dtype)
+    if not need_dx:
+        return None, dw, db
     dpatches = np.tensordot(grad, w, axes=(2, 3))  # (ho, wo, 3, 3, cin)
     dpad = np.zeros((h + 2, wd + 2, cin), dtype=grad.dtype)
     for dy in range(3):
         for dx in range(3):
             dpad[dy:dy + stride * (ho - 1) + 1:stride,
                  dx:dx + stride * (wo - 1) + 1:stride] += dpatches[:, :, dy, dx, :]
-    return dpad[1:h + 1, 1:wd + 1], dw.astype(grad.dtype), db.astype(grad.dtype)
+    return dpad[1:h + 1, 1:wd + 1], dw, db
 
 
 def relu_forward(z: np.ndarray):
@@ -124,6 +126,8 @@ class Architecture:
 
     @staticmethod
     def from_mapping(kv: dict) -> "Architecture":
+        if "kind" in kv and kv["kind"] not in NAME_TO_KIND:
+            raise CheckpointError(f"unknown kind {kv['kind']!r}")
         try:
             return Architecture(
                 image_channels=int(kv["image_channels"]),
@@ -219,7 +223,7 @@ def guidance_forward(params: dict, arch: Architecture, image: np.ndarray,
 
 
 def guidance_backward(grad_gates: np.ndarray, cache: dict):
-    """Parameter gradients of guidance_forward. Image gradient is discarded."""
+    """Parameter gradients of guidance_forward. The image gradient is not computed."""
     c0, c1, c2, cd0, cd1, ch = cache["convs"]
     m0, m1, m2, md0, md1 = cache["masks"]
     a2_shape, b1_shape, b0_shape, img_shape = cache["sizes"]
@@ -244,7 +248,7 @@ def guidance_backward(grad_gates: np.ndarray, cache: dict):
     dz1 = relu_backward(da1 + da1_skip, m1)
     da0, grads["enc1.w"], grads["enc1.b"] = conv3x3_backward(dz1, c1)
     dz0 = relu_backward(da0 + da0_skip, m0)
-    _, grads["enc0.w"], grads["enc0.b"] = conv3x3_backward(dz0, c0)
+    _, grads["enc0.w"], grads["enc0.b"] = conv3x3_backward(dz0, c0, need_dx=False)
     return grads
 
 

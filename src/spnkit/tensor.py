@@ -163,6 +163,16 @@ def require_finite(arr: np.ndarray, what: str) -> None:
         raise FormatError(f"{what} has a non-finite value {float(arr[i])} at index {i}")
 
 
+def flush_subnormals(a: np.ndarray) -> None:
+    """Zero, in place, the entries of a float array below its dtype's smallest
+    normal magnitude. NaN and inf are kept; a zero may lose its sign.
+
+    Subnormal operands are slow on most CPUs (a microcode assist per
+    operand), and a decaying scan can leave many of them behind.
+    """
+    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
+
+
 def read_key_values(path, error: type) -> list:
     """Read a `key=value` text file as (line number, key, value) triples.
 

@@ -236,3 +236,31 @@ def test_refine_rejects_truth_label_out_of_range(capsys, trained, tmp_path):
     assert rc == 2
     assert "label 2" in err and "2 classes" in err
     assert not pred.exists()
+
+
+def test_gen_data_check_rejects_malformed_item_index(capsys, trained, tmp_path):
+    import shutil
+    ds_dir, _ = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(ds_dir, ds)
+    manifest = ds / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines, 1) if line.startswith("item."))
+    lines[ln - 1] = "item.x1=" + lines[ln - 1].partition("=")[2]
+    manifest.write_text("\n".join(lines) + "\n")
+    rc, _, err = run(capsys, "gen-data", "--out", str(ds), "--check")
+    assert rc == 2
+    assert f"line {ln}" in err
+
+
+def test_eval_rejects_unknown_kind(capsys, trained, tmp_path):
+    import shutil
+    ds_dir, out_dir = trained
+    ck = tmp_path / "ck"
+    shutil.copytree(out_dir / "best", ck)
+    manifest = ck / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("kind=three", "kind=two"))
+    rc, _, err = run(capsys, "eval", "--checkpoint", str(ck), "--data", str(ds_dir))
+    assert rc == 2
+    assert "unknown kind 'two'" in err
+    assert "missing" not in err

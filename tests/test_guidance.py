@@ -103,6 +103,22 @@ def test_conv_backward_fd():
             assert res.max_rel_err < 1e-7, str(res)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_backward_without_dx(stride):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((7, 6, 3)).astype(np.float32)
+    w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
+    y, cache = conv3x3_forward(x, w, b, stride)
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    _, dw, db = conv3x3_backward(g, cache)
+    dx_skip, dw_skip, db_skip = conv3x3_backward(g, cache, need_dx=False)
+    assert dx_skip is None
+    np.testing.assert_array_equal(dw_skip, dw)
+    np.testing.assert_array_equal(db_skip, db)
+    assert dw_skip.dtype == dw.dtype and db_skip.dtype == db.dtype
+
+
 def test_relu_backward():
     z = np.array([-1.0, 0.0, 2.0])
     a, mask = relu_forward(z)

@@ -99,6 +99,27 @@ def test_projection_backward_identity_region():
     np.testing.assert_array_equal(back, grad)
 
 
+def general_projection_backward(grad, cache):
+    """The rescaling's backward written out for every row, scaled or not."""
+    raw, out, denom, active = cache
+    dot = (grad * out).sum(axis=4, keepdims=True)
+    scaled = (grad - dot * np.sign(raw)) / denom
+    return np.where(active[..., None], scaled, grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("high", [0.3, 1.2])  # no row scaled / some rows scaled
+def test_projection_backward_matches_general_formula(dtype, high):
+    rng = np.random.default_rng(5)
+    g = random_gates(5, 4, 2, THREE, rng, low=-high, high=high).astype(dtype)
+    _, cache = project_gates_cached(g, THREE)
+    assert cache[3].any() == (high > 1.0)
+    grad = rng.standard_normal(g.shape).astype(dtype)
+    back = project_gates_backward(grad, cache)
+    assert back.dtype == dtype
+    np.testing.assert_array_equal(back, general_projection_backward(grad, cache))
+
+
 def test_projection_backward_fd():
     rng = np.random.default_rng(4)
     g = random_gates(4, 4, 2, THREE, rng, low=-1.2, high=1.2)

@@ -13,7 +13,7 @@ from spnkit import (
     write_array,
     write_image_pnm,
 )
-from spnkit.tensor import interp_matrix, resize_array
+from spnkit.tensor import flush_subnormals, interp_matrix, resize_array
 
 
 def test_map_rejects_nonfinite():
@@ -257,3 +257,15 @@ def test_key_value_grammar(tmp_path, case):
     text_path.write_text("\n".join([lines[0], "no equals sign", *lines[1:]]) + "\n")
     with pytest.raises(error, match=r"line 2 is not key=value"):
         load()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flush_subnormals_zeroes_only_subnormals(dtype):
+    tiny = np.finfo(dtype).tiny
+    sub = np.nextafter(dtype(0), dtype(1))  # the smallest subnormal
+    a = np.array([tiny / 2, -tiny / 2, sub, -sub, tiny, -tiny, 1.5, -2.0, 0.0,
+                  np.inf, -np.inf, np.nan], dtype=dtype)
+    flush_subnormals(a)
+    np.testing.assert_array_equal(
+        a, np.array([0, 0, 0, 0, tiny, -tiny, 1.5, -2.0, 0.0,
+                     np.inf, -np.inf, np.nan], dtype=dtype))

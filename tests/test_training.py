@@ -129,6 +129,37 @@ def test_pipeline_backward_fd_end_to_end():
         assert res.max_rel_err < 1e-5, f"{key}: {res}"
 
 
+def test_pipeline_leaves_no_subnormals(tmp_path, monkeypatch):
+    # seed 1: the relu zeroes much of the scan input, so the scan state and
+    # the gate gradient decay through the float32 subnormal range
+    gen_toy_dataset(tmp_path, 1, 1, 64, 2, seed=1)
+    config = TrainConfig(seed=1)
+    arch = config.architecture(2)
+    params = init_pipeline_params(arch, np.random.default_rng(config.seed))
+    image, labels, coarse = load_sample(tmp_path, 0)
+    seen = {}
+    real_forward = training.spn_forward
+    real_backward = training.project_gates_backward
+
+    def spn_forward(*args, **kw):
+        seen["hidden"], caches = real_forward(*args, **kw)
+        return seen["hidden"], caches
+
+    def project_gates_backward(grad, cache):
+        seen["dgates"] = grad.copy()
+        return real_backward(grad, cache)
+
+    monkeypatch.setattr(training, "spn_forward", spn_forward)
+    monkeypatch.setattr(training, "project_gates_backward", project_gates_backward)
+    logits, cache = pipeline_forward(params, arch, image, coarse)
+    pipeline_backward(softmax_xent(logits, labels)[1], cache)
+    for name in ("hidden", "dgates"):
+        a = seen[name]
+        assert a.dtype == np.float32
+        subnormal = (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+        assert not subnormal.any(), f"{subnormal.sum()} subnormal entries in {name}"
+
+
 def test_iou_accumulator_frozen():
     acc = IoUAccumulator(2)
     pred = np.array([[0, 0], [1, 1]])
