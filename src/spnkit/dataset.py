@@ -48,7 +48,7 @@ _SUPERSAMPLE = 4
 def _pixel_grid(size: int):
     s = _SUPERSAMPLE
     coords = (np.arange(size * s) + 0.5) / s
-    return np.meshgrid(coords, coords, indexing="ij")
+    return coords[:, None], coords[None, :]
 
 
 def _coverage(indicator: np.ndarray, size: int) -> np.ndarray:
@@ -64,7 +64,12 @@ def _ellipse(yy, xx, rng, size):
     dy, dx = yy - cy, xx - cx
     u = dy * np.cos(th) + dx * np.sin(th)
     v = -dy * np.sin(th) + dx * np.cos(th)
-    return (u / a) ** 2 + (v / b) ** 2 <= 1.0
+    u /= a
+    u *= u
+    v /= b
+    v *= v
+    u += v
+    return u <= 1.0
 
 
 def _convex_polygon(yy, xx, rng, size):
@@ -74,7 +79,7 @@ def _convex_polygon(yy, xx, rng, size):
     radii = rng.uniform(size / 6, size / 3, size=n)
     py = cy + radii * np.sin(angles)
     px = cx + radii * np.cos(angles)
-    inside = np.ones_like(yy, dtype=bool)
+    inside = np.ones((yy.shape[0], xx.shape[1]), dtype=bool)
     for i in range(n):
         j = (i + 1) % n
         cross = (px[j] - px[i]) * (yy - py[i]) - (py[j] - py[i]) * (xx - px[i])
@@ -206,14 +211,18 @@ def read_manifest(root) -> tuple[dict, dict]:
     path = Path(root) / "manifest.txt"
     if not path.is_file():
         raise FormatError(f"no manifest.txt under {root}")
-    meta, items = {}, {}
+    meta, items, first_line = {}, {}, {}
     for ln, key, value in read_key_values(path, FormatError):
         if key.startswith("item."):
             parts = value.split(",")
             if (len(parts) != 4 or parts[0] not in ("train", "val")
                     or not key[5:].isdecimal()):
                 raise FormatError(f"manifest line {ln} is malformed")
-            items[int(key[5:])] = parts
+            index = int(key[5:])
+            if index in items:
+                raise FormatError(f"manifest line {ln} repeats item index {index} "
+                                  f"(first on line {first_line[index]})")
+            items[index], first_line[index] = parts, ln
         else:
             meta[key] = value
     if meta.get("format") != "spn-dataset-v1":

@@ -8,8 +8,10 @@ a final linear conv emits one channel per gate slot. Head weights start small
 so propagation begins near the identity.
 
 Everything is plain numpy with hand-written backward passes; the forward
-caches exactly what its backward needs. Convolutions gather the nine shifted
-views of a zero-padded input and contract them against the kernel.
+caches exactly what its backward needs. A convolution zero-pads its input
+once, splits it into its stride x stride phases, and runs one GEMM per
+kernel tap over a contiguous shifted slice of a phase; no nine-fold patch
+buffer is built, and the phases, about one padded input, are the cache.
 """
 from __future__ import annotations
 
@@ -25,43 +27,98 @@ from .tensor import (interp_matrix, read_array, read_key_values, require_finite,
                      resize_array, write_array)
 
 
+def _phase_layout(x_shape, stride: int):
+    """Where a 3x3, pad-1 conv at `stride` finds its taps.
+
+    The zero-padded input is split into its stride x stride phases, phase
+    (py, px) holding padded[py::s, px::s], each `rows` x `wq` and flattened
+    to rows * wq pixels. Tap (dy, dx) of every output pixel is then the
+    contiguous slice phase[dy % s, dx % s][off : off + ho * wq] with
+    off = (dy // s) * wq + dx // s, laid out `wq` pixels to an output row of
+    which the last wq - wo are spare (they wrap into the next row) and are
+    dropped. The spare phase row at the bottom keeps the last slice in bounds.
+
+    Returns (ho, wo, wq, phase_shape, taps, places): `taps` lists
+    (dy, dx, py, px, off); `places` lists (py, px, phase index, input index),
+    the block of the input each phase holds and where.
+    """
+    h, wd, cin = x_shape
+    s = stride
+    ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
+    wq = wo + 2 // s
+    phase_shape = (s, s, ho + 2 // s + 1, wq, cin)
+    taps = [(dy, dx, dy % s, dx % s, (dy // s) * wq + dx // s)
+            for dy in range(3) for dx in range(3)]
+    places = []
+    for py in range(s):
+        for px in range(s):
+            ay, ax = (py - 1) % s, (px - 1) % s  # first input row/col in it
+            r0, c0 = (ay + 1 - py) // s, (ax + 1 - px) // s
+            ny, nx = len(range(ay, h, s)), len(range(ax, wd, s))
+            places.append((py, px, (slice(r0, r0 + ny), slice(c0, c0 + nx)),
+                           (slice(ay, None, s), slice(ax, None, s))))
+    return ho, wo, wq, phase_shape, taps, places
+
+
 def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
-    """3x3 convolution, zero padding 1. x: (H, W, Cin), w: (3, 3, Cin, Cout)."""
+    """3x3 convolution, zero padding 1. x: (H, W, Cin), w: (3, 3, Cin, Cout).
+
+    One GEMM per tap over a contiguous slice of the padded input's phases
+    (`_phase_layout`); the cache holds the phases, about one padded input.
+    """
     if x.ndim != 3 or w.shape[:2] != (3, 3) or w.shape[2] != x.shape[2]:
         raise DimensionError(f"conv shapes disagree: x {x.shape}, w {w.shape}")
     if stride not in (1, 2):
         raise DimensionError("stride must be 1 or 2")
-    h, wd, cin = x.shape
-    ho = (h - 1) // stride + 1
-    wo = (wd - 1) // stride + 1
-    padded = np.zeros((h + 2, wd + 2, cin), dtype=x.dtype)
-    padded[1:h + 1, 1:wd + 1] = x
-    patches = np.empty((ho, wo, 3, 3, cin), dtype=x.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            patches[:, :, dy, dx, :] = padded[
-                dy:dy + stride * (ho - 1) + 1:stride,
-                dx:dx + stride * (wo - 1) + 1:stride]
-    y = np.tensordot(patches, w, axes=([2, 3, 4], [0, 1, 2])) + b
-    return y.astype(x.dtype), (patches, w, x.shape, stride)
+    ho, wo, wq, phase_shape, taps, places = _phase_layout(x.shape, stride)
+    phases = np.zeros(phase_shape, dtype=x.dtype)
+    for py, px, at, src in places:
+        phases[py, px][at] = x[src]
+    flat = phases.reshape(stride, stride, -1, x.shape[2])
+    n, cout = ho * wq, w.shape[3]
+    acc = np.empty((n, cout), dtype=np.result_type(x, w))
+    term = np.empty_like(acc)
+    for t, (dy, dx, py, px, off) in enumerate(taps):
+        np.matmul(flat[py, px, off:off + n], w[dy, dx], out=term if t else acc)
+        if t:
+            acc += term
+    y = acc.reshape(ho, wq, cout)[:, :wo] + b
+    return y.astype(x.dtype, copy=False), (phases, w, x.shape, stride)
 
 
 def conv3x3_backward(grad: np.ndarray, cache, need_dx: bool = True):
-    """Returns (dx, dw, db) for conv3x3_forward; dx is None if not `need_dx`."""
-    patches, w, x_shape, stride = cache
-    h, wd, cin = x_shape
-    ho, wo = grad.shape[:2]
-    dw = np.tensordot(patches, grad, axes=([0, 1], [0, 1])).astype(grad.dtype)
-    db = grad.sum(axis=(0, 1)).astype(grad.dtype)
+    """Returns (dx, dw, db) for conv3x3_forward; dx is None if not `need_dx`.
+
+    The gradient is zero-padded to `wq` columns, so the spare pixels of each
+    tap slice contribute nothing to dw[dy, dx] = slice.T @ grad; dx adds
+    grad @ w[dy, dx].T into per-phase buffers at the same slices and copies
+    each phase back to its strided block of the input.
+    """
+    phases, w, x_shape, stride = cache
+    ho, wo, wq, _, taps, places = _phase_layout(x_shape, stride)
+    cin, cout = w.shape[2], w.shape[3]
+    n = ho * wq
+    gq = np.zeros((ho, wq, cout), dtype=grad.dtype)
+    gq[:, :wo] = grad
+    gq = gq.reshape(n, cout)
+    flat = phases.reshape(stride, stride, -1, cin)
+    dw = np.empty((3, 3, cin, cout), dtype=np.result_type(phases, grad))
+    for dy, dx, py, px, off in taps:
+        np.matmul(flat[py, px, off:off + n].T, gq, out=dw[dy, dx])
+    dw = dw.astype(grad.dtype, copy=False)
+    db = np.ones(n, dtype=grad.dtype) @ gq  # a gemv; sum(axis=0) is ~10x slower
     if not need_dx:
         return None, dw, db
-    dpatches = np.tensordot(grad, w, axes=(2, 3))  # (ho, wo, 3, 3, cin)
-    dpad = np.zeros((h + 2, wd + 2, cin), dtype=grad.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            dpad[dy:dy + stride * (ho - 1) + 1:stride,
-                 dx:dx + stride * (wo - 1) + 1:stride] += dpatches[:, :, dy, dx, :]
-    return dpad[1:h + 1, 1:wd + 1], dw, db
+    dphases = np.zeros(phases.shape, dtype=np.result_type(grad, w))
+    dflat = dphases.reshape(flat.shape)
+    term = np.empty((n, cin), dtype=dphases.dtype)
+    for dy, dx, py, px, off in taps:
+        np.matmul(gq, w[dy, dx].T, out=term)
+        dflat[py, px, off:off + n] += term
+    dinput = np.empty(x_shape, dtype=grad.dtype)
+    for py, px, at, src in places:
+        dinput[src] = dphases[py, px][at]
+    return dinput, dw, db
 
 
 def relu_forward(z: np.ndarray):

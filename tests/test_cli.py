@@ -253,6 +253,30 @@ def test_gen_data_check_rejects_malformed_item_index(capsys, trained, tmp_path):
     assert f"line {ln}" in err
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_repeated_item_index_exit_2(capsys, trained, tmp_path, command):
+    import shutil
+    ds_dir, _ = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(ds_dir, ds)
+    manifest = ds / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith("item.0000="))
+    # item.0 names the same index as item.0000
+    lines[first] = "item.0=" + lines[first].partition("=")[2]
+    manifest.write_text("\n".join(lines) + "\n")
+    if command == "gen-data":
+        argv = ["gen-data", "--out", str(ds), "--check"]
+    else:
+        argv = ["train", "--data", str(ds), "--out", str(tmp_path / "run"),
+                "--epochs", "1", "--prop-channels", "3", "--widths", "3,4,5",
+                "--units", "1"]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert (f"manifest line {first + 1} repeats item index 0 "
+            f"(first on line {first})") in err
+
+
 def test_eval_rejects_unknown_kind(capsys, trained, tmp_path):
     import shutil
     ds_dir, out_dir = trained

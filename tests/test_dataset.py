@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,46 @@ def test_render_sample_deterministic():
     b_img, b_lab = render_sample(np.random.default_rng(7), 32, 2)
     assert a_img.tobytes() == b_img.tobytes()
     assert a_lab.tobytes() == b_lab.tobytes()
+
+
+# sha256 of rendered samples and generated dataset trees, recorded before the
+# renderer switched from meshgrid to broadcast coordinates: any change to
+# generated data that is not bit-identical fails here.
+RENDER_DIGESTS = {
+    (0, 8, 2): "a37495fda6cd2350ad9bf747b1950ac831d0c36a840f59b564c7ee63b086be70",
+    (1, 33, 3): "1bfd3fb82283a22a047095a351a769b7f3f85166f5680142dca4c39076ad6226",
+    (2, 64, 2): "db5172fc66f947fafd541b86fc077c4f8bb2576277bcf448fb0730577b2353e3",
+    (3, 128, 5): "23481c777154fd03e69274cedb0241b88cc538a00b5e636a5054e2f8b1b050e1",
+    (7, 128, 2): "1610678df6a05c80ab91fd14b4c7cf08aa8c7a2203d6b48ca2138e1fd199f554",
+    (11, 64, 8): "0a7595bb7e70c3c663aadd37ecca7be4fdefd61740f7d5c80832523b97517f81",
+}
+TREE_DIGESTS = {
+    (5, 8, 2, 4): "f5e2a11fb0137402c6c82cc8fed3b898c3b208884ced99e0f4c185c1c791bb26",
+    (11, 33, 3, 4): "cd0700809289564cb22e072d1d17a40ce87c2821d70be549398dc6f177d91c56",
+    (3, 64, 2, 8): "9a75b831445aba4027a47988f5af40c79d2d0874aa36bc6a4e5fdeffa7561d0a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_DIGESTS))
+def test_render_sample_bytes_pinned(case):
+    seed, size, classes = case
+    image, labels = render_sample(np.random.default_rng(seed), size, classes)
+    digest = hashlib.sha256(image.tobytes())
+    digest.update(labels.tobytes())
+    assert digest.hexdigest() == RENDER_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(TREE_DIGESTS))
+def test_gen_dataset_bytes_pinned(tmp_path, case):
+    seed, size, classes, factor = case
+    root = tmp_path / "ds"
+    gen_toy_dataset(root, n_train=3, n_val=2, size=size, classes=classes,
+                    seed=seed, coarse_factor=factor, coarse_blur=1)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == TREE_DIGESTS[case]
 
 
 def test_render_sample_rejects_bad_args():

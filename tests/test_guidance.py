@@ -40,6 +40,79 @@ def conv_ref(x, w, b, stride):
     return out + b
 
 
+def im2col_conv_forward(x, w, b, stride):
+    """The im2col conv that conv3x3_forward replaced: nine strided copies
+    into a 9x patch buffer, then one contraction. Kept as its reference."""
+    h, wd, cin = x.shape
+    ho = (h - 1) // stride + 1
+    wo = (wd - 1) // stride + 1
+    padded = np.zeros((h + 2, wd + 2, cin), dtype=x.dtype)
+    padded[1:h + 1, 1:wd + 1] = x
+    patches = np.empty((ho, wo, 3, 3, cin), dtype=x.dtype)
+    for dy in range(3):
+        for dx in range(3):
+            patches[:, :, dy, dx, :] = padded[
+                dy:dy + stride * (ho - 1) + 1:stride,
+                dx:dx + stride * (wo - 1) + 1:stride]
+    y = np.tensordot(patches, w, axes=([2, 3, 4], [0, 1, 2])) + b
+    return y.astype(x.dtype), (patches, w, x.shape, stride)
+
+
+def im2col_conv_backward(grad, cache):
+    """Adjoint of im2col_conv_forward: (dx, dw, db)."""
+    patches, w, x_shape, stride = cache
+    h, wd, cin = x_shape
+    ho, wo = grad.shape[:2]
+    dw = np.tensordot(patches, grad, axes=([0, 1], [0, 1])).astype(grad.dtype)
+    db = grad.sum(axis=(0, 1)).astype(grad.dtype)
+    dpatches = np.tensordot(grad, w, axes=(2, 3))  # (ho, wo, 3, 3, cin)
+    dpad = np.zeros((h + 2, wd + 2, cin), dtype=grad.dtype)
+    for dy in range(3):
+        for dx in range(3):
+            dpad[dy:dy + stride * (ho - 1) + 1:stride,
+                 dx:dx + stride * (wo - 1) + 1:stride] += dpatches[:, :, dy, dx, :]
+    return dpad[1:h + 1, 1:wd + 1], dw, db
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 13), (9, 4), (64, 64)])
+def test_conv_matches_im2col_reference(shape, stride):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] + stride)
+    for cin, cout in ((1, 1), (3, 8), (8, 96), (16, 5)):
+        x = rng.standard_normal(shape + (cin,))
+        w = rng.standard_normal((3, 3, cin, cout))
+        b = rng.standard_normal(cout)
+        y, cache = conv3x3_forward(x, w, b, stride)
+        y_ref, cache_ref = im2col_conv_forward(x, w, b, stride)
+        assert y.shape == y_ref.shape and y.dtype == y_ref.dtype
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+        g = rng.standard_normal(y.shape)
+        ref = im2col_conv_backward(g, cache_ref)
+        for need_dx in (True, False):
+            got = conv3x3_backward(g, cache, need_dx=need_dx)
+            assert (got[0] is None) == (not need_dx)
+            for name, a, r in zip(("dx", "dw", "db"), got, ref):
+                if a is None:
+                    continue
+                assert a.shape == r.shape and a.dtype == r.dtype, name
+                np.testing.assert_allclose(a, r, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("shape", [(33, 17), (64, 64), (20, 48)])
+def test_conv_cache_holds_no_patch_buffer(shape, stride):
+    """The cache holds about one padded input, not nine shifted copies. The
+    grids are large enough that a stride-2 patch buffer (9/4 of the input)
+    would exceed the bound too."""
+    cin = 8
+    x = np.ones(shape + (cin,), dtype=np.float32)
+    w = np.ones((3, 3, cin, 4), dtype=np.float32)
+    _, cache = conv3x3_forward(x, w, np.zeros(4, dtype=np.float32), stride)
+    padded_bytes = (shape[0] + 2) * (shape[1] + 2) * cin * x.itemsize
+    largest = max(a.nbytes for a in cache if isinstance(a, np.ndarray))
+    assert largest <= 1.5 * padded_bytes
+
+
 def test_conv_matches_bruteforce():
     rng = np.random.default_rng(0)
     for stride in (1, 2):
