@@ -70,6 +70,12 @@ class CheckLog:
 
 
 def cmd_verify(args) -> int:
+    # grid sides are drawn from [2, --max-size]
+    for flag, value, least in (("--trials", args.trials, 1),
+                               ("--max-size", args.max_size, 2),
+                               ("--channels", args.channels, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     rng = np.random.default_rng(args.seed)
     kind = NAME_TO_KIND[args.kind]
     dtype = np.float64 if args.bits == 64 else np.float32
@@ -150,6 +156,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (np.isfinite(args.eps) and args.eps > 0.0):
+        raise ConfigError(f"--eps must be a positive finite step, got {args.eps!r}")
     rng = np.random.default_rng(args.seed)
     log = CheckLog()
     budget_each = max(args.coords // 8, 10)

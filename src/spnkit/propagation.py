@@ -89,26 +89,29 @@ def _to_scan(arr: np.ndarray, direction: Direction) -> np.ndarray:
     return arr.swapaxes(0, 1)[:, ::-1]
 
 
+def zero_boundary(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
+    """Zero, in place, the gates of (H, W, C, 4, K) `gate_data` that the
+    boundary contract pins to zero; returns `gate_data`."""
+    for d in Direction:
+        g = _to_scan(gate_data[:, :, :, d, :], d)
+        g[:, 0] = 0.0
+        if kind == ConnectionKind.THREE_WAY:
+            g[0, :, :, GATE_PREV] = 0.0
+            g[-1, :, :, GATE_NEXT] = 0.0
+    return gate_data
+
+
 def boundary_mask(height: int, width: int, kind: ConnectionKind) -> np.ndarray:
     """Boolean (H, W, 4, K) array, True where a gate is required to be zero."""
     if height < 1 or width < 1:
         raise DimensionError("grid dimensions must be >= 1")
-    mask = np.zeros((height, width, 4, kind.gates_per_direction), dtype=bool)
-    for d in Direction:
-        m = _to_scan(mask[:, :, d, :], d)
-        m[:, 0, :] = True
-        if kind == ConnectionKind.THREE_WAY:
-            m[0, :, GATE_PREV] = True
-            m[-1, :, GATE_NEXT] = True
-    return mask
+    free = np.ones((height, width, 1, 4, kind.gates_per_direction), dtype=bool)
+    return ~zero_boundary(free, kind)[:, :, 0]
 
 
 def apply_boundary(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
     """Return a copy of (H, W, C, 4, K) gates with required zeros applied."""
-    mask = boundary_mask(gate_data.shape[0], gate_data.shape[1], kind)
-    out = gate_data.copy()
-    out[np.broadcast_to(mask[:, :, None, :, :], out.shape)] = 0.0
-    return out
+    return zero_boundary(gate_data.copy(), kind)
 
 
 def check_boundary_zeros(gate_data: np.ndarray, kind: ConnectionKind,
@@ -332,19 +335,35 @@ def propagate_direction_backward(grad: np.ndarray, cache: ScanCache):
 def integrate_max(h_stack: np.ndarray):
     """Node-wise max over the direction axis of a (4, H, W, C) stack.
 
-    Returns (out, winner) where winner holds the index of the first direction
-    attaining the max; ties resolve to the lowest direction index.
+    Returns (out, winner) where winner (int8) holds the index of the first
+    direction attaining the max, as `np.argmax` gives it: ties resolve to the
+    lowest direction index, and the first NaN wins. A direction is passed
+    over exactly when it is not NaN and differs from the max (which is NaN
+    when any direction is), so winner = n0 (1 + n1 (1 + n2)) with n_d that
+    test, without branches. `out` is the max itself; it equals
+    h_stack[winner] except that a zero may differ in sign.
     """
-    winner = np.argmax(h_stack, axis=0).astype(np.int8)
-    out = np.take_along_axis(h_stack, winner[None].astype(np.intp), axis=0)[0]
+    h0, h1, h2, h3 = h_stack
+    out = np.maximum(h0, h1)
+    np.maximum(out, np.maximum(h2, h3), out=out)
+    passed = np.empty((3,) + out.shape, dtype=bool)
+    is_num = np.empty(out.shape, dtype=bool)
+    for d in range(3):
+        np.not_equal(h_stack[d], out, out=passed[d])
+        np.equal(h_stack[d], h_stack[d], out=is_num)
+        passed[d] &= is_num
+    n0, n1, n2 = passed.view(np.int8)
+    winner = n2 + np.int8(1)
+    winner *= n1
+    winner += 1
+    winner *= n0
     return out, winner
 
 
 def integrate_max_backward(grad: np.ndarray, winner: np.ndarray) -> np.ndarray:
     """Route gradient to the winning direction only. Returns (4, H, W, C)."""
     out = np.zeros((4,) + grad.shape, dtype=grad.dtype)
-    for d in range(4):
-        np.copyto(out[d], grad, where=(winner == d))
+    np.put_along_axis(out, winner[None], grad[None], axis=0)
     return out
 
 

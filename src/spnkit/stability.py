@@ -5,6 +5,12 @@ transfer matrix. Keeping the absolute row sum at or below one bounds every
 eigenvalue of that matrix by one (circle bound on the rows), so repeated
 propagation cannot blow up. `project_gates` rescales offending rows onto the
 unit ball; it preserves signs and ratios and leaves stable rows untouched.
+
+In training the bound rarely binds, so the projection's cost is the row sums
+themselves: they add the K slots in slot order, the order a reduction over
+the slot axis uses, so they are the same bits at a fraction of its cost.
+When no row exceeds one, `project_gates_cached` passes the gates through
+without dividing, and its backward passes the gradient through the same way.
 """
 from __future__ import annotations
 
@@ -26,24 +32,38 @@ def _check_gate_shape(gate_data: np.ndarray, kind: ConnectionKind):
 
 
 def gate_abs_sums(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
-    """Per-pixel absolute gate sums, (H, W, C, 4)."""
+    """Per-pixel absolute gate sums, (H, W, C, 4).
+
+    The K slots are added in slot order, which gives the same bits as
+    `np.abs(gate_data).sum(axis=4)` without its reduction over a length-K
+    axis.
+    """
     _check_gate_shape(gate_data, kind)
-    return np.abs(gate_data).sum(axis=4)
+    s = np.abs(gate_data[..., 0])
+    term = np.empty_like(s)
+    for k in range(1, kind.gates_per_direction):
+        s += np.abs(gate_data[..., k], out=term)
+    return s
 
 
 def project_gates(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
-    """Rescale each pixel's gates so their absolute sum is at most one."""
+    """Rescale each pixel's gates so their absolute sum is at most one.
+    Always returns a new array."""
     out, _ = project_gates_cached(gate_data, kind)
-    return out
+    return out.copy() if out is gate_data else out
 
 
 def project_gates_cached(gate_data: np.ndarray, kind: ConnectionKind):
+    """`project_gates` plus the cache (raw, out, denom, active) for the
+    backward; `active` is True on the rows that were rescaled. When no row
+    is, `out` is `gate_data` itself and `denom` is 1."""
     s = gate_abs_sums(gate_data, kind)
     active = s > 1.0
+    if not active.any():
+        return gate_data, (gate_data, gate_data, 1.0, active)
     denom = np.where(active, s, 1.0)[..., None]
     out = gate_data / denom
-    cache = (gate_data, out, denom, active)
-    return out, cache
+    return out, (gate_data, out, denom, active)
 
 
 def project_gates_backward(grad: np.ndarray, cache) -> np.ndarray:

@@ -47,7 +47,7 @@ from .guidance import (
     resize_backward,
     resize_forward,
 )
-from .propagation import NAME_TO_KIND, boundary_mask, spn_backward, spn_forward
+from .propagation import NAME_TO_KIND, spn_backward, spn_forward, zero_boundary
 from .stability import (
     project_gates_backward,
     project_gates_cached,
@@ -162,22 +162,20 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
 
 
 def build_gates(params: dict, arch: Architecture, image: np.ndarray):
-    """Guidance gates for `image` at 1/`arch.scale` size, boundary-masked and
-    projected. Returns (gates, valid, gcache, pcache); `valid` is False where
-    the boundary contract pins a gate to zero."""
+    """Guidance gates for `image` at 1/`arch.scale` size, with the boundary
+    zeros in place and projected. Returns (gates, gcache, pcache)."""
     hp = max(1, image.shape[0] // arch.scale)
     wp = max(1, image.shape[1] // arch.scale)
     raw, gcache = guidance_forward(params, arch, image, hp, wp)
-    valid = ~boundary_mask(hp, wp, arch.kind)[:, :, None, :, :]
-    gates, pcache = project_gates_cached(raw * valid, arch.kind)
-    return gates, valid, gcache, pcache
+    gates, pcache = project_gates_cached(zero_boundary(raw, arch.kind), arch.kind)
+    return gates, gcache, pcache
 
 
 def pipeline_forward(params: dict, arch: Architecture, image: np.ndarray,
                      coarse: np.ndarray):
     """Full model: image + coarse probabilities to full-resolution logits."""
     h, w = image.shape[:2]
-    gates, valid, gcache, pcache = build_gates(params, arch, image)
+    gates, gcache, pcache = build_gates(params, arch, image)
     low = resize_forward(coarse, gates.shape[0], gates.shape[1])
     zpre, cpre = conv3x3_forward(low, params["pre.w"], params["pre.b"], 1)
     apre, mpre = relu_forward(zpre)
@@ -188,7 +186,7 @@ def pipeline_forward(params: dict, arch: Architecture, image: np.ndarray,
                                         params["post.b"], 1)
     logits = resize_forward(logits_low, h, w)
     cache = {
-        "gcache": gcache, "pcache": pcache, "valid": valid,
+        "gcache": gcache, "pcache": pcache, "kind": arch.kind,
         "cpre": cpre, "mpre": mpre, "scaches": scaches, "cpost": cpost,
         "low_shape": logits_low.shape, "gates": gates,
     }
@@ -204,7 +202,9 @@ def pipeline_backward(grad_logits: np.ndarray, cache: dict) -> dict:
     dzpre = relu_backward(dapre, cache["mpre"])
     _, dprew, dpreb = conv3x3_backward(dzpre, cache["cpre"], need_dx=False)
     dmasked = project_gates_backward(dgates, cache["pcache"])
-    draw = (dmasked * cache["valid"]).astype(grad_logits.dtype)
+    # the pinned gates are constants, not guidance outputs
+    draw = zero_boundary(dmasked, cache["kind"]).astype(grad_logits.dtype,
+                                                        copy=False)
     grads = guidance_backward(draw, cache["gcache"])
     grads["post.w"] = dpw
     grads["post.b"] = dpb

@@ -45,6 +45,21 @@ def test_verify_fault_injection(capsys, fault, marker):
     assert has_line(out, marker)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--trials", "0"), "--trials must be at least 1, got 0"),
+    (("verify", "--max-size", "1"), "--max-size must be at least 2, got 1"),
+    (("verify", "--channels", "0"), "--channels must be at least 1, got 0"),
+    (("gradcheck", "--eps", "0"), "--eps must be a positive finite step, got 0.0"),
+    (("gradcheck", "--eps", "-1"), "--eps must be a positive finite step, got -1.0"),
+    (("gradcheck", "--eps", "nan"), "--eps must be a positive finite step, got nan"),
+], ids=["trials-0", "max-size-1", "channels-0", "eps-0", "eps-neg", "eps-nan"])
+def test_check_arguments_out_of_range_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_gradcheck_passes(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--coords", "120")
     assert rc == 0

@@ -22,6 +22,7 @@ from spnkit.propagation import (
     spn_forward,
     spn_backward,
     step_matrix,
+    zero_boundary,
 )
 
 ONE = ConnectionKind.ONE_WAY
@@ -374,6 +375,21 @@ def _from_scan(arr, direction):
     return arr[:, ::-1].swapaxes(0, 1)
 
 
+def argmax_integrate_max(h_stack):
+    """The max pool as `np.argmax` plus a gather: what `integrate_max` replaced."""
+    winner = np.argmax(h_stack, axis=0).astype(np.int8)
+    out = np.take_along_axis(h_stack, winner[None].astype(np.intp), axis=0)[0]
+    return out, winner
+
+
+def masked_integrate_max_backward(grad, winner):
+    """One masked copy per direction: what `integrate_max_backward` replaced."""
+    out = np.zeros((4,) + grad.shape, dtype=grad.dtype)
+    for d in range(4):
+        np.copyto(out[d], grad, where=(winner == d))
+    return out
+
+
 def ref_spn_forward(x, gate_data, kind, units):
     caches, cur = [], x
     for _ in range(units):
@@ -385,7 +401,7 @@ def ref_spn_forward(x, gate_data, kind, units):
             h = _ref_scan(xs, gs, kind)
             hs[d] = _from_scan(h, d)
             scans.append((d, xs, h, gs))
-        cur, winner = integrate_max(hs)
+        cur, winner = argmax_integrate_max(hs)
         caches.append((scans, winner))
     return cur, caches
 
@@ -394,7 +410,7 @@ def ref_spn_backward(grad, caches, kind):
     dgates = np.zeros(grad.shape + (4, kind.gates_per_direction), dtype=grad.dtype)
     g = grad
     for scans, winner in reversed(caches):
-        per_dir = integrate_max_backward(g, winner)
+        per_dir = masked_integrate_max_backward(g, winner)
         gx = np.zeros_like(g)
         for d, xs, h, gs in scans:
             grad_s = np.ascontiguousarray(_to_scan(per_dir[d], d))
@@ -519,3 +535,79 @@ def test_fused_scan_keeps_non_finite_input_to_its_direction(bad):
                 ref_dx, ref_dg = ref_spn_backward(w, ref_caches, kind)
                 assert np.array_equal(dx, ref_dx, equal_nan=True)
                 assert np.array_equal(dg, ref_dg, equal_nan=True)
+
+
+# --- max pool and boundary zeros against the code they replaced ----------
+
+
+def _pool_stacks(rng, dtype):
+    """(4, H, W, C) stacks with ties, signed zeros, infinities and NaNs."""
+    shape = (4, 9, 8, 3)
+    yield rng.standard_normal(shape).astype(dtype)
+    special = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan],
+                       dtype=dtype)
+    yield special[rng.integers(0, len(special), shape)]
+    yield special[rng.integers(2, 5, shape)]  # mostly ties among -0, 0, 0.5
+    mixed = rng.standard_normal(shape).astype(dtype)
+    np.put_along_axis(mixed, rng.integers(0, 4, (1,) + shape[1:]), 0.0, axis=0)
+    mixed[1:3] = np.where(rng.random(shape[1:]) < 0.3, mixed[0], mixed[1:3])
+    mixed[3, 0] = np.nan
+    mixed[:, 1] = -np.inf
+    mixed[:2, 2] = np.nan
+    yield mixed
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_integrate_max_matches_argmax_reference(dtype):
+    rng = np.random.default_rng(15)
+    for stack in _pool_stacks(rng, dtype):
+        out, winner = integrate_max(stack)
+        ref_out, ref_winner = argmax_integrate_max(stack)
+        assert winner.dtype == np.int8 and out.dtype == dtype
+        assert np.array_equal(winner, ref_winner)
+        assert np.array_equal(out, ref_out, equal_nan=True)
+
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        grad.flat[::5] = np.inf
+        grad.flat[1::7] = -np.inf
+        grad.flat[2::9] = np.nan
+        back = integrate_max_backward(grad, winner)
+        assert back.dtype == dtype
+        assert np.array_equal(back, masked_integrate_max_backward(grad, ref_winner),
+                              equal_nan=True)
+        # every entry, non-finite ones too, reaches its winner's direction only
+        losers = np.arange(4)[:, None, None, None] != winner
+        assert (back[losers] == 0.0).all()
+        assert np.array_equal(np.take_along_axis(back, winner[None], axis=0)[0],
+                              grad, equal_nan=True)
+
+
+def scan_view_boundary_mask(height, width, kind):
+    """The boundary geometry marked through `_to_scan` views of a boolean
+    mask, as `boundary_mask` built it before `zero_boundary` owned it."""
+    mask = np.zeros((height, width, 4, kind.gates_per_direction), dtype=bool)
+    for d in Direction:
+        m = _to_scan(mask[:, :, d, :], d)
+        m[:, 0, :] = True
+        if kind == THREE:
+            m[0, :, GATE_PREV] = True
+            m[-1, :, GATE_NEXT] = True
+    return mask
+
+
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 6), (6, 1), (7, 7), (32, 48)])
+@pytest.mark.parametrize("kind", [ONE, THREE])
+def test_zero_boundary_matches_mask_multiply(height, width, kind):
+    rng = np.random.default_rng(100 * height + width)
+    g = rng.uniform(-1.0, 1.0, (height, width, 3, 4, kind.gates_per_direction))
+    mask = scan_view_boundary_mask(height, width, kind)
+    assert np.array_equal(boundary_mask(height, width, kind), mask)
+    mask = mask[:, :, None]
+    out = zero_boundary(g.copy(), kind)
+    assert np.array_equal(out, g * ~mask)  # the multiply it replaced (+-0)
+    assert out.tobytes() == np.where(mask, 0.0, g).tobytes()
+    assert apply_boundary(g, kind).tobytes() == out.tobytes()
+    view = np.zeros((height, 2 * width) + g.shape[2:])[:, ::2]
+    view[...] = g
+    assert zero_boundary(view, kind) is view
+    assert view.tobytes() == out.tobytes()

@@ -140,3 +140,32 @@ def test_projection_backward_fd():
                          signature=lambda a: sig(a).tobytes())
     assert res.checked >= 40
     assert res.max_rel_err < 1e-6, str(res)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", [ONE, THREE])
+@np.errstate(over="ignore")
+def test_gate_abs_sums_bytes_equal_reduction(dtype, kind):
+    rng = np.random.default_rng(17)
+    shape = (6, 7, 3, 4, kind.gates_per_direction)
+    g = (rng.standard_normal(shape)
+         * 10.0 ** rng.integers(-40, 40, shape)).astype(dtype)
+    g.flat[::11] = np.nan
+    g.flat[1::13] = np.inf
+    g.flat[2::17] = -np.inf
+    g.flat[3::5] = -0.0
+    for gates in (g, g[:, ::2]):
+        s = gate_abs_sums(gates, kind)
+        ref = np.abs(gates).sum(axis=4)
+        assert s.dtype == ref.dtype and s.shape == ref.shape
+        assert s.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("high", [0.3, 1.2])  # no row scaled / some rows scaled
+def test_project_gates_returns_new_array(high):
+    rng = np.random.default_rng(18)
+    g = random_gates(4, 5, 2, THREE, rng, low=-high, high=high)
+    keep = g.copy()
+    p = project_gates(g, THREE)
+    p[...] = 7.0
+    assert np.array_equal(g, keep)
