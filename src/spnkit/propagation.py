@@ -92,6 +92,8 @@ def _to_scan(arr: np.ndarray, direction: Direction) -> np.ndarray:
 def zero_boundary(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
     """Zero, in place, the gates of (H, W, C, 4, K) `gate_data` that the
     boundary contract pins to zero; returns `gate_data`."""
+    if gate_data.shape[0] < 1 or gate_data.shape[1] < 1:
+        raise DimensionError("grid dimensions must be >= 1")
     for d in Direction:
         g = _to_scan(gate_data[:, :, :, d, :], d)
         g[:, 0] = 0.0
@@ -103,8 +105,6 @@ def zero_boundary(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
 
 def boundary_mask(height: int, width: int, kind: ConnectionKind) -> np.ndarray:
     """Boolean (H, W, 4, K) array, True where a gate is required to be zero."""
-    if height < 1 or width < 1:
-        raise DimensionError("grid dimensions must be >= 1")
     free = np.ones((height, width, 1, 4, kind.gates_per_direction), dtype=bool)
     return ~zero_boundary(free, kind)[:, :, 0]
 

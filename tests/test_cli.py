@@ -60,6 +60,20 @@ def test_check_arguments_out_of_range_exit_2(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("affinity", "--height", "0"),
+    ("affinity", "--width", "0"),
+    ("impulse", "--height", "0"),
+    ("impulse", "--width", "0"),
+], ids=["affinity-height-0", "affinity-width-0", "impulse-height-0",
+        "impulse-width-0"])
+def test_empty_grid_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err == "error: grid dimensions must be >= 1\n"
+    assert out == ""
+
+
 def test_gradcheck_passes(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--coords", "120")
     assert rc == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spnkit.errors import ContractError
+from spnkit.errors import ContractError, DimensionError
 from spnkit.fdcheck import check_gradient
 from spnkit.propagation import (
     Direction,
@@ -566,6 +566,11 @@ def test_integrate_max_matches_argmax_reference(dtype):
         assert winner.dtype == np.int8 and out.dtype == dtype
         assert np.array_equal(winner, ref_winner)
         assert np.array_equal(out, ref_out, equal_nan=True)
+        # `out` is the max itself, and the max of a -0/+0 tie may carry
+        # either sign: the sign of a zero is the only bit allowed to differ
+        # from h_stack[winner]
+        sign_differs = np.signbit(out) != np.signbit(ref_out)
+        assert (out[sign_differs] == 0.0).all()
 
         grad = rng.standard_normal(out.shape).astype(dtype)
         grad.flat[::5] = np.inf
@@ -611,3 +616,14 @@ def test_zero_boundary_matches_mask_multiply(height, width, kind):
     view[...] = g
     assert zero_boundary(view, kind) is view
     assert view.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("height,width", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("kind", [ONE, THREE])
+def test_zero_boundary_rejects_empty_grid(height, width, kind):
+    g = np.zeros((height, width, 1, 4, kind.gates_per_direction))
+    for zero in (zero_boundary, apply_boundary):
+        with pytest.raises(DimensionError, match="grid dimensions must be >= 1"):
+            zero(g, kind)
+    with pytest.raises(DimensionError, match="grid dimensions must be >= 1"):
+        boundary_mask(height, width, kind)
