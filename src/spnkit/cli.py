@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,10 @@ from .errors import (
     DimensionError,
     FormatError,
     TrainingAborted,
+    require_at_least,
 )
 from .fdcheck import check_gradient
-from .guidance import checkpoint_load
+from .guidance import FIELD_PARSERS, checkpoint_load
 from .propagation import (
     ConnectionKind,
     Direction,
@@ -71,11 +72,8 @@ class CheckLog:
 
 def cmd_verify(args) -> int:
     # grid sides are drawn from [2, --max-size]
-    for flag, value, least in (("--trials", args.trials, 1),
-                               ("--max-size", args.max_size, 2),
-                               ("--channels", args.channels, 1)):
-        if value < least:
-            raise ConfigError(f"{flag} must be at least {least}, got {value}")
+    require_at_least(("--trials", args.trials, 1), ("--max-size", args.max_size, 2),
+                     ("--channels", args.channels, 1))
     rng = np.random.default_rng(args.seed)
     kind = NAME_TO_KIND[args.kind]
     dtype = np.float64 if args.bits == 64 else np.float32
@@ -205,8 +203,7 @@ def cmd_gradcheck(args) -> int:
     total += res.checked
     log.record("projection", res.max_rel_err < 1e-4, str(res))
 
-    cfg = tr.TrainConfig(prop_channels=3, widths="3,4,5", scale=2, units=2)
-    arch = cfg.architecture(2)
+    arch = tr.Architecture(widths=(3, 4, 5), prop_channels=3)
     params = tr.init_pipeline_params(arch, rng, dtype=np.float64)
     image = rng.random((12, 12, 3))
     coarse = rng.random((12, 12, 2))
@@ -243,7 +240,14 @@ def cmd_gradcheck(args) -> int:
     return 0 if log.ok else 1
 
 
+def _check_grid(args) -> None:
+    if args.height < 1 or args.width < 1:
+        raise DimensionError("grid dimensions must be >= 1")
+
+
 def cmd_affinity(args) -> int:
+    _check_grid(args)
+    require_at_least(("--channels", args.channels, 1))
     rng = np.random.default_rng(args.seed)
     kind = NAME_TO_KIND[args.kind]
     d = NAME_TO_DIRECTION[args.direction]
@@ -280,6 +284,8 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_impulse(args) -> int:
+    _check_grid(args)
+    require_at_least(("--gate-value", args.gate_value, -np.inf))
     kind = NAME_TO_KIND[args.kind]
     d = NAME_TO_DIRECTION[args.direction]
     k = kind.gates_per_direction
@@ -316,19 +322,11 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-_CONFIG_FLAGS = ("epochs", "batch", "lr", "momentum", "seed", "units",
-                 "prop_channels", "widths", "scale", "kind", "post_gain",
-                 "time_limit", "threads")
-
-
 def _build_config(args) -> tr.TrainConfig:
     cfg = tr.TrainConfig.from_file(args.config) if args.config else tr.TrainConfig()
-    overrides = {}
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    return replace(cfg, **overrides) if overrides else cfg
+    overrides = {f.name: getattr(args, f.name) for f in fields(cfg)
+                 if getattr(args, f.name) is not None}
+    return replace(cfg, **overrides)
 
 
 def cmd_train(args) -> int:
@@ -349,20 +347,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_samples(data, split):
-    train_idx, val_idx, meta = tr.load_split(data)
-    idx = val_idx if split == "val" else train_idx
-    return [tr.load_sample(data, i) for i in idx], int(meta["classes"])
-
-
 def cmd_eval(args) -> int:
     arch, params, _ = checkpoint_load(args.checkpoint)
-    samples, classes = _load_eval_samples(args.data, args.split)
+    train_idx, val_idx, meta = tr.load_split(args.data)
+    idx = val_idx if args.split == "val" else train_idx
+    samples, classes = [tr.load_sample(args.data, i) for i in idx], int(meta["classes"])
     if classes != arch.classes:
         raise DimensionError(
             f"checkpoint has {arch.classes} classes, dataset has {classes}")
-    refined = tr.evaluate(params, arch, samples, threads=args.threads,
-                          restrict=args.restrict)
+    refined = tr.evaluate(params, arch, samples, restrict=args.restrict)
     base = tr.coarse_iou(samples, classes)
     print(f"samples: {len(samples)} ({args.split})")
     print(f"coarse IoU:  {base:.4f}")
@@ -474,26 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--config", default=None, help="key=value config file")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--momentum", type=float)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--units", type=int)
-    t.add_argument("--prop-channels", type=int, dest="prop_channels")
-    t.add_argument("--widths")
-    t.add_argument("--scale", type=int)
-    t.add_argument("--kind", choices=sorted(NAME_TO_KIND))
-    t.add_argument("--post-gain", type=float, dest="post_gain")
-    t.add_argument("--time-limit", type=float, dest="time_limit")
-    t.add_argument("--threads", type=int)
+    for f in fields(tr.TrainConfig):  # one flag per config key
+        t.add_argument("--" + f.name.replace("_", "-"), type=FIELD_PARSERS[f.type],
+                       choices=sorted(NAME_TO_KIND) if f.name == "kind" else None)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="IoU of a checkpoint on a dataset split")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--split", choices=("train", "val"), default="val")
-    e.add_argument("--threads", type=int, default=1)
     e.add_argument("--restrict", action="store_true",
                    help="limit predictions to classes present in the truth")
     e.set_defaults(fn=cmd_eval)

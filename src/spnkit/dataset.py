@@ -227,6 +227,10 @@ def read_manifest(root) -> tuple[dict, dict]:
             meta[key] = value
     if meta.get("format") != "spn-dataset-v1":
         raise FormatError(f"unsupported dataset format {meta.get('format')!r}")
+    classes = meta.get("classes", "")
+    if not (classes.isdecimal() and 2 <= int(classes) <= MAX_CLASSES):
+        raise FormatError(f"manifest classes must be an integer in "
+                          f"[2, {MAX_CLASSES}], got {classes!r}")
     return meta, items
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a range check raising ConfigError."""
+import math
 
 
 class SpnError(Exception):
@@ -27,3 +28,13 @@ class CheckpointError(SpnError, ValueError):
 
 class TrainingAborted(SpnError, RuntimeError):
     """Training stopped on a non-finite loss; the message carries gate statistics."""
+
+
+def require_at_least(*checks) -> None:
+    """Raise ConfigError for the first (name, value, least) whose value is
+    NaN, infinite, or below `least`."""
+    for name, value, least in checks:
+        if not -math.inf < value < math.inf:
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if value < least:
+            raise ConfigError(f"{name} must be at least {least}, got {value}")

@@ -16,12 +16,13 @@ buffer is built, and the phases, about one padded input, are the cache.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DimensionError, FormatError
+from .errors import (CheckpointError, ConfigError, DimensionError, FormatError,
+                     require_at_least)
 from .propagation import KIND_NAMES, NAME_TO_KIND, ConnectionKind
 from .tensor import (interp_matrix, read_array, read_key_values, require_finite,
                      resize_array, write_array)
@@ -144,6 +145,28 @@ def resize_backward(grad: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
     return np.moveaxis(out, 2, 1).astype(grad.dtype)
 
 
+def parse_widths(text: str) -> tuple:
+    """The `8,16,32` text form of `Architecture.widths`."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError as e:
+        raise ConfigError(f"widths must be comma-separated ints, got {text!r}") from e
+
+
+def parse_kind(text: str) -> ConnectionKind:
+    if text not in NAME_TO_KIND:
+        raise ConfigError(f"unknown kind {text!r}")
+    return NAME_TO_KIND[text]
+
+
+# text form of a settings field, by its annotation: how a value is read
+# from, and written to, a key=value line
+FIELD_PARSERS = {"int": int, "float": float, "str": str, "tuple": parse_widths,
+                 "ConnectionKind": parse_kind}
+FIELD_WRITERS = {"tuple": lambda v: ",".join(str(w) for w in v),
+                 "ConnectionKind": KIND_NAMES.__getitem__}
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Shape contract shared by the network, the trainer, and checkpoints."""
@@ -159,8 +182,10 @@ class Architecture:
     def __post_init__(self):
         if len(self.widths) != 3 or any(w < 1 for w in self.widths):
             raise ConfigError(f"widths must be three positive ints, got {self.widths}")
-        if self.scale < 1 or self.units < 1 or self.classes < 2:
-            raise ConfigError("scale and units must be >= 1, classes >= 2")
+        require_at_least(("image_channels", self.image_channels, 1),
+                         ("prop_channels", self.prop_channels, 1),
+                         ("classes", self.classes, 2), ("scale", self.scale, 1),
+                         ("units", self.units, 1))
 
     @property
     def gate_slots(self) -> int:
@@ -171,30 +196,15 @@ class Architecture:
         return self.prop_channels * self.gate_slots
 
     def to_lines(self):
-        return [
-            f"image_channels={self.image_channels}",
-            f"widths={','.join(str(w) for w in self.widths)}",
-            f"prop_channels={self.prop_channels}",
-            f"classes={self.classes}",
-            f"kind={KIND_NAMES[self.kind]}",
-            f"scale={self.scale}",
-            f"units={self.units}",
-        ]
+        return [f"{f.name}={FIELD_WRITERS.get(f.type, str)(getattr(self, f.name))}"
+                for f in fields(self)]
 
     @staticmethod
     def from_mapping(kv: dict) -> "Architecture":
-        if "kind" in kv and kv["kind"] not in NAME_TO_KIND:
-            raise CheckpointError(f"unknown kind {kv['kind']!r}")
+        """Every field from a checkpoint manifest's keys; other keys are ignored."""
         try:
-            return Architecture(
-                image_channels=int(kv["image_channels"]),
-                widths=tuple(int(s) for s in kv["widths"].split(",")),
-                prop_channels=int(kv["prop_channels"]),
-                classes=int(kv["classes"]),
-                kind=NAME_TO_KIND[kv["kind"]],
-                scale=int(kv["scale"]),
-                units=int(kv["units"]),
-            )
+            return Architecture(**{f.name: FIELD_PARSERS[f.type](kv[f.name])
+                                   for f in fields(Architecture)})
         except KeyError as e:
             raise CheckpointError(f"architecture field missing: {e}") from e
         except ValueError as e:

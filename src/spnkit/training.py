@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import load_sample, load_split
-from .errors import ConfigError, ContractError, TrainingAborted
+from .errors import ConfigError, ContractError, TrainingAborted, require_at_least
 from .guidance import (
+    FIELD_PARSERS,
     Architecture,
     checkpoint_save,
     conv3x3_backward,
@@ -42,12 +42,14 @@ from .guidance import (
     guidance_backward,
     guidance_forward,
     init_params,
+    parse_kind,
+    parse_widths,
     relu_backward,
     relu_forward,
     resize_backward,
     resize_forward,
 )
-from .propagation import NAME_TO_KIND, spn_backward, spn_forward, zero_boundary
+from .propagation import spn_backward, spn_forward, zero_boundary
 from .stability import (
     project_gates_backward,
     project_gates_cached,
@@ -72,30 +74,29 @@ class TrainConfig:
     kind: str = "three"
     post_gain: float = 3.0
     time_limit: float = 0.0
-    threads: int = 1
 
     def __post_init__(self):
-        if self.kind not in NAME_TO_KIND:
-            raise ConfigError(
-                f"kind must be one of {sorted(NAME_TO_KIND)}, got {self.kind!r}")
-        if self.epochs < 1 or self.batch < 1 or self.threads < 1:
-            raise ConfigError("epochs, batch, and threads must be >= 1")
-        if self.lr < 0 or not 0 <= self.momentum < 1:
-            raise ConfigError("need lr >= 0 and momentum in [0, 1)")
+        self.architecture(classes=2)  # checks the architecture fields
+        require_at_least(("epochs", self.epochs, 1), ("batch", self.batch, 1),
+                         ("lr", self.lr, 0.0), ("seed", self.seed, 0),
+                         ("post_gain", self.post_gain, -np.inf),
+                         ("time_limit", self.time_limit, 0.0))
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def to_lines(self) -> list:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
 
     @staticmethod
     def from_mapping(kv: dict) -> "TrainConfig":
+        """Unknown keys are errors; missing keys keep their defaults."""
         types = {f.name: f.type for f in fields(TrainConfig)}
-        casts = {"int": int, "float": float, "str": str}
         values = {}
         for key, raw in kv.items():
             if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                values[key] = casts[types[key]](raw)
+                values[key] = FIELD_PARSERS[types[key]](raw)
             except ValueError as e:
                 raise ConfigError(f"bad value for {key!r}: {raw!r}") from e
         return TrainConfig(**values)
@@ -108,10 +109,10 @@ class TrainConfig:
     def architecture(self, classes: int, image_channels: int = 3) -> Architecture:
         return Architecture(
             image_channels=image_channels,
-            widths=tuple(int(s) for s in self.widths.split(",")),
+            widths=parse_widths(self.widths),
             prop_channels=self.prop_channels,
             classes=classes,
-            kind=NAME_TO_KIND[self.kind],
+            kind=parse_kind(self.kind),
             scale=self.scale,
             units=self.units,
         )
@@ -285,22 +286,13 @@ class TrainResult:
 METRIC_FIELDS = ("epoch", "loss", "val_iou", "gate_max_abs_sum", "is_best", "seconds")
 
 
-def evaluate(params, arch, samples, threads: int = 1, restrict: bool = False) -> float:
-    """Mean IoU over samples; thread count never changes the result."""
-    def predict(sample):
-        image, labels, coarse = sample
-        allowed = np.unique(labels) if restrict else None
-        pred, _ = refine_sample(params, arch, image, coarse, allowed)
-        return pred
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            preds = list(pool.map(predict, samples))
-    else:
-        preds = [predict(s) for s in samples]
+def evaluate(params, arch, samples, restrict: bool = False) -> float:
+    """Mean IoU over samples; with `restrict`, each sample is predicted
+    among the labels of its own truth only."""
     acc = IoUAccumulator(arch.classes)
-    for pred, sample in zip(preds, samples):
-        acc.update(pred, sample[1])
+    for image, labels, coarse in samples:
+        allowed = np.unique(labels) if restrict else None
+        acc.update(refine_sample(params, arch, image, coarse, allowed)[0], labels)
     return acc.mean()
 
 
@@ -358,7 +350,7 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None) -> TrainResult:
             if not health.ok:
                 raise ContractError(f"gate projection failed to bound gates: {health}")
 
-            val_iou = evaluate(params, arch, val_samples, threads=config.threads)
+            val_iou = evaluate(params, arch, val_samples)
             is_best = val_iou > best
             if is_best:
                 best = val_iou

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,13 @@ def test_verify_fault_injection(capsys, fault, marker):
     (("gradcheck", "--eps", "0"), "--eps must be a positive finite step, got 0.0"),
     (("gradcheck", "--eps", "-1"), "--eps must be a positive finite step, got -1.0"),
     (("gradcheck", "--eps", "nan"), "--eps must be a positive finite step, got nan"),
-], ids=["trials-0", "max-size-1", "channels-0", "eps-0", "eps-neg", "eps-nan"])
+    (("affinity", "--channels", "0"), "--channels must be at least 1, got 0"),
+    (("affinity", "--channels", "-2"), "--channels must be at least 1, got -2"),
+    (("impulse", "--gate-value", "nan"), "--gate-value must be finite, got nan"),
+    (("impulse", "--gate-value", "inf"), "--gate-value must be finite, got inf"),
+], ids=["trials-0", "max-size-1", "channels-0", "eps-0", "eps-neg", "eps-nan",
+        "affinity-channels-0", "affinity-channels-neg", "impulse-gate-value-nan",
+        "impulse-gate-value-inf"])
 def test_check_arguments_out_of_range_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
@@ -65,8 +73,10 @@ def test_check_arguments_out_of_range_exit_2(capsys, argv, message):
     ("affinity", "--width", "0"),
     ("impulse", "--height", "0"),
     ("impulse", "--width", "0"),
+    ("affinity", "--height", "-1"),
+    ("impulse", "--width", "-3"),
 ], ids=["affinity-height-0", "affinity-width-0", "impulse-height-0",
-        "impulse-width-0"])
+        "impulse-width-0", "affinity-height-neg", "impulse-width-neg"])
 def test_empty_grid_exit_2(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
@@ -141,6 +151,28 @@ def test_bad_config_file_exit_2(capsys, tmp_path):
     assert "bogus_key" in err
 
 
+def test_train_flags_reach_config():
+    from spnkit.cli import _build_config, build_parser
+    from spnkit.training import TrainConfig
+    args = build_parser().parse_args([
+        "train", "--data", "d", "--out", "o", "--epochs", "3", "--batch", "2",
+        "--lr", "0.5", "--momentum", "0.25", "--seed", "9", "--units", "3",
+        "--prop-channels", "5", "--widths", "2,3,4", "--scale", "4",
+        "--kind", "one", "--post-gain", "1.5", "--time-limit", "30"])
+    cfg = _build_config(args)
+    want = TrainConfig(epochs=3, batch=2, lr=0.5, momentum=0.25, seed=9, units=3,
+                       prop_channels=5, widths="2,3,4", scale=4, kind="one",
+                       post_gain=1.5, time_limit=30.0)
+    assert cfg == want
+    default = TrainConfig()
+    changed = {f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(default, f.name)}
+    assert changed == {"epochs", "batch", "lr", "momentum", "seed", "units",
+                       "prop_channels", "widths", "scale", "kind", "post_gain",
+                       "time_limit"}
+    for name in changed:
+        assert type(getattr(cfg, name)) is type(getattr(default, name)), name
+
+
 def test_missing_checkpoint_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "none"),
                      "--data", str(tmp_path / "none"))
@@ -180,7 +212,7 @@ def test_train_artifacts_and_config_echo(trained):
 def test_eval_runs(capsys, trained):
     ds_dir, out_dir = trained
     rc, out, _ = run(capsys, "eval", "--checkpoint", str(out_dir / "best"),
-                     "--data", str(ds_dir), "--threads", "2")
+                     "--data", str(ds_dir))
     assert rc == 0
     assert "refined IoU" in out
 
@@ -304,6 +336,60 @@ def test_repeated_item_index_exit_2(capsys, trained, tmp_path, command):
     assert rc == 2
     assert (f"manifest line {first + 1} repeats item index 0 "
             f"(first on line {first})") in err
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--widths", "a,b,c", "widths"),
+    ("--prop-channels", "0", "prop_channels"),
+    ("--lr", "nan", "lr"),
+    ("--lr", "inf", "lr"),
+    ("--post-gain", "nan", "post_gain"),
+    ("--seed", "-1", "seed"),
+    ("--time-limit", "nan", "time_limit"),
+    ("--time-limit", "-1", "time_limit"),
+], ids=["widths-text", "prop-channels-0", "lr-nan", "lr-inf", "post-gain-nan",
+        "seed-neg", "time-limit-nan", "time-limit-neg"])
+def test_train_bad_config_value_exit_2(capsys, trained, tmp_path, flag, value, key):
+    ds_dir, _ = trained
+    rc, out, err = run(capsys, "train", "--data", str(ds_dir), "--out",
+                       str(tmp_path / "run"), "--epochs", "1", flag, value)
+    assert rc == 2
+    assert err.startswith("error: ") and key in err
+    assert out == "" and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+def test_manifest_bad_classes_exit_2(capsys, trained, tmp_path, command):
+    import shutil
+    ds_dir, out_dir = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(ds_dir, ds)
+    manifest = ds / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("classes=2", "classes=abc"))
+    argv = {"gen-data": ["gen-data", "--out", str(ds), "--check"],
+            "train": ["train", "--data", str(ds), "--out", str(tmp_path / "run"),
+                      "--epochs", "1", "--prop-channels", "3", "--widths", "3,4,5"],
+            "eval": ["eval", "--checkpoint", str(out_dir / "best"), "--data", str(ds)],
+            }[command]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert "classes" in err and "'abc'" in err
+
+
+def test_refine_restrict_uses_coarse_labels_only(capsys, trained, tmp_path):
+    # a tied coarse map's argmax is class 0 everywhere
+    ds_dir, out_dir = trained
+    write_array(tmp_path / "coarse.spnt", np.full((16, 16, 2), 0.5, dtype=np.float32))
+    labels = {}
+    for restrict in (False, True):
+        pred = tmp_path / f"pred{int(restrict)}.pgm"
+        rc, out, _ = run(capsys, "refine", "--checkpoint", str(out_dir / "best"),
+                         "--image", str(ds_dir / "images" / "0009.ppm"),
+                         "--coarse", str(tmp_path / "coarse.spnt"), "--out", str(pred),
+                         *(["--restrict"] if restrict else []))
+        assert rc == 0
+        labels[restrict] = set(np.unique(map_to_labels(read_image_pnm(pred))).tolist())
+    assert labels == {False: {0, 1}, True: {0}}
 
 
 def test_eval_rejects_unknown_kind(capsys, trained, tmp_path):

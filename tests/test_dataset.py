@@ -178,6 +178,19 @@ def test_verify_dataset_detects_missing_file(tmp_path):
         verify_dataset(root)
 
 
+@pytest.mark.parametrize("classes", ["abc", "1", str(MAX_CLASSES + 1), "2.0", "", None])
+def test_read_manifest_checks_classes(tmp_path, classes):
+    _, root = make_ds(tmp_path)
+    manifest = root / "manifest.txt"
+    lines = [line for line in manifest.read_text().splitlines()
+             if not line.startswith("classes=")]
+    if classes is not None:
+        lines.insert(1, f"classes={classes}")
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="classes"):
+        read_manifest(root)
+
+
 def test_read_manifest_rejects_garbage(tmp_path):
     root = tmp_path / "bad"
     root.mkdir()

@@ -299,6 +299,21 @@ def test_checkpoint_roundtrip(tmp_path):
         assert params2[k].tobytes() == params[k].tobytes()
 
 
+def test_checkpoint_manifest_text_pinned(tmp_path):
+    arch = Architecture(image_channels=1, widths=(2, 3, 4), prop_channels=5,
+                        classes=3, kind=ConnectionKind.ONE_WAY, scale=3, units=1)
+    params = init_params(arch, np.random.default_rng(8))
+    checkpoint_save(tmp_path / "ck", arch, params, meta={"val_iou": "0.5", "epoch": 4})
+    params_text = "".join(f"param.{n}.{p}={n}_{p}.spnt\n"
+                          for n in ("dec0", "dec1", "enc0", "enc1", "enc2", "head",
+                                    "post", "pre") for p in "bw")
+    assert (tmp_path / "ck" / "manifest.txt").read_text() == (
+        "format=spn-checkpoint-v1\nimage_channels=1\nwidths=2,3,4\n"
+        "prop_channels=5\nclasses=3\nkind=one\nscale=3\nunits=1\n"
+        "meta.epoch=4\nmeta.val_iou=0.5\n" + params_text)
+    assert checkpoint_load(tmp_path / "ck")[0] == arch
+
+
 def test_checkpoint_missing_manifest(tmp_path):
     with pytest.raises(CheckpointError, match="manifest"):
         checkpoint_load(tmp_path / "nope")

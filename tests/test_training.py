@@ -266,15 +266,39 @@ def test_train_aborts_on_non_finite(tiny_dataset, tmp_path, monkeypatch):
         train(tiny_config(), tiny_dataset, tmp_path / "bad")
 
 
-def test_evaluate_thread_invariance(tiny_dataset):
-    cfg = tiny_config()
-    train_idx, val_idx, meta = load_split(tiny_dataset)
-    samples = [load_sample(tiny_dataset, i) for i in val_idx + train_idx]
-    arch = cfg.architecture(int(meta["classes"]))
-    params = init_pipeline_params(arch, np.random.default_rng(4))
-    a = evaluate(params, arch, samples, threads=1)
-    b = evaluate(params, arch, samples, threads=4)
-    assert a == b
+def test_evaluate_restrict_matches_refine_sample():
+    # three classes, truth labels only 0 and 1: an unrestricted prediction
+    # echoes the random coarse map's class 2, a restricted one may not
+    arch = TrainConfig(prop_channels=3, widths="3,4,5", units=1).architecture(3)
+    rng = np.random.default_rng(6)
+    params = init_pipeline_params(arch, rng)
+    samples = []
+    for _ in range(3):
+        coarse = rng.random((12, 12, 3)).astype(np.float32)
+        coarse /= coarse.sum(axis=2, keepdims=True)
+        samples.append((rng.random((12, 12, 3)).astype(np.float32),
+                        rng.integers(0, 2, size=(12, 12)).astype(np.int32), coarse))
+    for restrict in (False, True):
+        acc = IoUAccumulator(3)
+        used = set()
+        for image, labels, coarse in samples:
+            allowed = np.unique(labels) if restrict else None
+            pred, _ = refine_sample(params, arch, image, coarse, allowed)
+            used |= set(np.unique(pred).tolist())
+            acc.update(pred, labels)
+        assert evaluate(params, arch, samples, restrict=restrict) == acc.mean()
+        assert (2 in used) != restrict
+
+
+def test_config_txt_pinned(tiny_dataset, tmp_path):
+    cfg = TrainConfig(epochs=1, batch=5, lr=0.002, momentum=0.5, seed=7, units=1,
+                      prop_channels=3, widths="3,4,5", scale=4, kind="one",
+                      post_gain=2.5, time_limit=60.0)
+    train(cfg, tiny_dataset, tmp_path / "run")
+    assert (tmp_path / "run" / "config.txt").read_text() == (
+        "epochs=1\nbatch=5\nlr=0.002\nmomentum=0.5\nseed=7\nunits=1\n"
+        "prop_channels=3\nwidths=3,4,5\nscale=4\nkind=one\npost_gain=2.5\n"
+        "time_limit=60.0\n")
 
 
 def test_coarse_iou_positive(tiny_dataset):
