@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, require_at_least
 from .tensor import (
     Map,
     map_from_array,
@@ -139,6 +139,8 @@ def make_coarse(labels: np.ndarray, classes: int, factor: int = 8,
     """
     if factor < 1:
         raise ConfigError("factor must be >= 1")
+    if blur < 0:
+        raise ConfigError("blur must be >= 0")
     size = labels.shape[0]
     low = max(size // factor, 1)
     probs = one_hot(labels, classes, dtype=np.float64)
@@ -177,6 +179,7 @@ def gen_toy_dataset(root, n_train: int, n_val: int, size: int, classes: int,
     """Render and write a dataset; returns the manifest metadata mapping."""
     if n_train < 1 or n_val < 1:
         raise ConfigError("need at least one training and one validation item")
+    require_at_least(("coarse_factor", coarse_factor, 1), ("coarse_blur", coarse_blur, 0))
     root = Path(root)
     for sub in ("images", "masks", "coarse"):
         (root / sub).mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,16 @@ gradient is infinite or NaN (0 * inf is NaN), and such a value stays in its
 own direction as it would in a separate scan. Each step performs the same
 floating-point operations in the same order as a separate scan per
 direction would, so the results equal it exactly (a zero gradient entry may
-at most change sign).
+at most change sign, and a NaN may carry either sign: numpy's vectorised
+loops set it by an element's place in the loop).
+
+The reverse pass keeps each stack's gate gradient in the stack's layout,
+shaped like its gates, through all units: every unit adds its part with one
+subtract, multiply and add per slot over the whole stack. The result is
+written to the (H, W, C, 4, K) grid once, after the last unit; there the
+slot and direction axes are innermost, so a write per unit would be a
+strided one. The pinned gates' gradients are then set to zero: they are not
+free parameters, and in the stack they read across block edges.
 """
 from __future__ import annotations
 
@@ -89,17 +98,30 @@ def _to_scan(arr: np.ndarray, direction: Direction) -> np.ndarray:
     return arr.swapaxes(0, 1)[:, ::-1]
 
 
+def _pinned(gate_data: np.ndarray, kind: ConnectionKind,
+            direction: Direction | None = None):
+    """Yield views of the gates that the boundary contract pins to zero: the
+    first scan line, and for THREE_WAY the diagonal slots of the edge lines.
+
+    `gate_data` holds all directions' (H, W, C, 4, K) gates, or, when
+    `direction` is given, that direction's (H, W, C, K) gates.
+    """
+    if gate_data.shape[0] < 1 or gate_data.shape[1] < 1:
+        raise DimensionError("grid dimensions must be >= 1")
+    for d in Direction if direction is None else (direction,):
+        g = _to_scan(gate_data if direction is not None
+                     else gate_data[:, :, :, d, :], d)
+        yield g[:, 0]
+        if kind == ConnectionKind.THREE_WAY:
+            yield g[0, :, :, GATE_PREV]
+            yield g[-1, :, :, GATE_NEXT]
+
+
 def zero_boundary(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
     """Zero, in place, the gates of (H, W, C, 4, K) `gate_data` that the
     boundary contract pins to zero; returns `gate_data`."""
-    if gate_data.shape[0] < 1 or gate_data.shape[1] < 1:
-        raise DimensionError("grid dimensions must be >= 1")
-    for d in Direction:
-        g = _to_scan(gate_data[:, :, :, d, :], d)
-        g[:, 0] = 0.0
-        if kind == ConnectionKind.THREE_WAY:
-            g[0, :, :, GATE_PREV] = 0.0
-            g[-1, :, :, GATE_NEXT] = 0.0
+    for g in _pinned(gate_data, kind):
+        g[...] = 0.0
     return gate_data
 
 
@@ -119,19 +141,21 @@ def check_boundary_zeros(gate_data: np.ndarray, kind: ConnectionKind,
     """Raise ContractError if any gate that must be zero is not exactly zero.
 
     `gate_data` holds all directions' (H, W, C, 4, K) gates, or, when
-    `direction` is given, that direction's (H, W, C, K) gates.
+    `direction` is given, that direction's (H, W, C, K) gates. Only the
+    pinned slices are read; the full mask is built to name the first
+    offending entry.
     """
+    if not any((g != 0.0).any() for g in _pinned(gate_data, kind, direction)):
+        return
     mask = boundary_mask(gate_data.shape[0], gate_data.shape[1], kind)[:, :, None]
     where = "(row, col, chan, dir, slot)"
     if direction is not None:
         mask = mask[:, :, :, direction]
         where = f"direction {DIRECTION_NAMES[direction]}, (row, col, chan, slot)"
-    bad = (gate_data != 0.0) & mask
-    if bad.any():
-        i = np.argwhere(bad)[0]
-        raise ContractError(
-            f"boundary gate must be zero at {where}="
-            f"{tuple(int(v) for v in i)}, found {gate_data[tuple(i)]!r}")
+    i = np.argwhere((gate_data != 0.0) & mask)[0]
+    raise ContractError(
+        f"boundary gate must be zero at {where}="
+        f"{tuple(int(v) for v in i)}, found {gate_data[tuple(i)]!r}")
 
 
 def _step_major(arr: np.ndarray, direction: Direction) -> np.ndarray:
@@ -170,9 +194,13 @@ class ScanStack:
         for s in self.slots[1:]:
             self.coef -= s
 
+    @property
+    def pad(self) -> int:
+        """Separator lines before each block: 1 for three-way, else 0."""
+        return int(self.kind == ConnectionKind.THREE_WAY)
+
     def rows(self, block: int) -> slice:
-        pad = int(self.kind == ConnectionKind.THREE_WAY)
-        start = pad + block * (self.lines + pad)
+        start = self.pad + block * (self.lines + self.pad)
         return slice(start, start + self.lines)
 
     @property
@@ -192,6 +220,16 @@ class ScanStack:
         (H, W, C) grid in `grids`, one per direction as for `stack`."""
         for b, (g, d) in enumerate(zip(grids, self.directions)):
             _step_major(g, d)[...] = arr[:, self.rows(b)]
+
+    def unstack_slots(self, slots: np.ndarray, grids) -> None:
+        """Write each direction's block of a (K, steps, rows, C) array, laid
+        out as `slots`, into its (H, W, C, K) grid in `grids`.
+
+        One copy per slot: a copy that put the slot axis innermost would
+        run its inner loop over three floats at a time.
+        """
+        for k, slot in enumerate(slots):
+            self.unstack(slot, [g[..., k] for g in grids])
 
 
 @dataclass
@@ -246,17 +284,18 @@ def _scan(stack: ScanStack, grids) -> ScanCache:
     return ScanCache(stack, xs, h)
 
 
-def _scan_backward(cache: ScanCache, grads, dgates_out) -> None:
+def _scan_backward(cache: ScanCache, g: np.ndarray, dslots: np.ndarray) -> None:
     """Exact reverse pass of one fused scan, in place.
 
-    `grads` holds one upstream (H, W, C) gradient per direction of the
-    stack; each is overwritten with that direction's input gradient. Each
-    direction's gate gradient is added into its (H, W, C, K) array in
-    `dgates_out`, except at gate positions the boundary contract pins to
-    zero: those entries are not free parameters and are left as they are.
+    `g` is the upstream gradient in the stack's (steps, rows, C) layout, as
+    `ScanStack.stack` gives it; it is overwritten with the input gradient in
+    the same layout. The gate gradient is added into `dslots`, shaped like
+    the stack's `slots`, with one subtract, multiply and add per slot over
+    the whole stack. Entries of `dslots` on separator lines, and at gates
+    the boundary contract pins to zero, hold no gradient: the callers zero
+    the pinned ones after writing the blocks to the grid.
     """
     st = cache.stack
-    g = st.stack(grads)
     if st.kind == ConnectionKind.ONE_WAY:
         p = st.slots[0]
         carry = np.empty_like(g[0])
@@ -278,21 +317,19 @@ def _scan_backward(cache: ScanCache, grads, dgates_out) -> None:
             carry[1:] += tmp
             g[t - 1] += carry
             g[t - 1, sep] = 0.0
-    # g now holds the adjoint of h at every step
-    three = st.kind == ConnectionKind.THREE_WAY
-    x, prev, gn = cache.x_scan[1:], cache.h_scan[:-1], g[1:]
-    for b, (d, out) in enumerate(zip(st.directions, dgates_out)):
-        r = st.rows(b).start
-        target = _step_major(out, d)[1:]
-        for k in range(st.kind.gates_per_direction):
-            off = k - 1 if three else 0
-            lo, hi = max(0, -off), st.lines - max(0, off)
-            part = np.subtract(prev[:, r + lo + off:r + hi + off], x[:, r + lo:r + hi])
-            part *= gn[:, r + lo:r + hi]
-            target[:, lo:hi, :, k] += part
-    dx = st.coef * g
-    dx[0] = g[0]
-    st.unstack(dx, grads)
+    # g now holds the adjoint of h at every step; slot k of row r reads
+    # previous-step row r + k - pad, so the rows between the outer
+    # separators see every neighbour they need
+    core = slice(st.pad, g.shape[1] - st.pad)
+    x, gn = cache.x_scan[1:, core], g[1:, core]
+    prev = cache.h_scan[:-1]
+    part = np.empty_like(x)
+    for k, acc in enumerate(dslots[:, 1:, core]):
+        np.subtract(prev[:, k:k + part.shape[1]], x, out=part)
+        part *= gn
+        acc += part
+    # the input gradient: (1 - sum(p)) * g, and g itself on the first step
+    np.multiply(st.coef[1:], g[1:], out=g[1:])
 
 
 def _check_inputs(x: np.ndarray, gates_dir: np.ndarray, kind: ConnectionKind):
@@ -325,10 +362,16 @@ def propagate_direction_cached(x, gates_dir, direction, kind, check=True):
 
 def propagate_direction_backward(grad: np.ndarray, cache: ScanCache):
     """Gradients of a single scan. Returns (dx, dgates) in grid orientation."""
-    k = cache.kind.gates_per_direction
-    dgates = np.zeros(grad.shape + (k,), dtype=cache.x_scan.dtype)
-    dx = grad.astype(cache.x_scan.dtype)
-    _scan_backward(cache, [dx], [dgates])
+    st = cache.stack
+    g = st.stack([grad])
+    dslots = np.zeros_like(st.slots)
+    _scan_backward(cache, g, dslots)
+    dx = np.empty_like(grad, dtype=g.dtype)
+    dgates = np.empty(grad.shape + (st.kind.gates_per_direction,), dtype=g.dtype)
+    st.unstack(g, [dx])
+    st.unstack_slots(dslots, [dgates])
+    for pinned in _pinned(dgates, st.kind, st.directions[0]):
+        pinned[...] = 0.0
     return dx, dgates
 
 
@@ -407,21 +450,49 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
     return cur, caches
 
 
+def _unit_backward(unit: UnitCache, grad: np.ndarray, dslots: list) -> np.ndarray:
+    """Reverse pass of one propagation unit; returns its input gradient.
+
+    Adds each direction group's gate gradient into its `dslots` entry. The
+    routed and stacked gradients die on return, before the next unit
+    allocates its own: `spn_backward`'s peak memory depends on it.
+    """
+    stacks = [sc.stack for sc in unit.scans]
+    routed = integrate_max_backward(grad, unit.winner)
+    gs = [st.stack(routed[d] for d in st.directions) for st in stacks]
+    del routed
+    for sc, g, acc in zip(unit.scans, gs, dslots):
+        _scan_backward(sc, g, acc)
+    # ((d0 + d1) + d2) + d3, read straight from the directions' blocks
+    dx = np.empty(grad.shape, dtype=gs[0].dtype)
+    blocks = [(d, g[:, st.rows(b)]) for st, g in zip(stacks, gs)
+              for b, d in enumerate(st.directions)]
+    (d, block), *rest = blocks
+    _step_major(dx, d)[...] = block
+    for d, block in rest:
+        view = _step_major(dx, d)
+        view += block
+    return dx
+
+
 def spn_backward(grad: np.ndarray, caches: list):
-    """Gradients of spn_forward: returns (dx, dgates (H, W, C, 4, K))."""
-    k = caches[0].scans[0].kind.gates_per_direction
-    dtype = caches[0].scans[0].x_scan.dtype  # the scans compute in the forward dtype
-    dgates = np.zeros(grad.shape + (4, k), dtype=grad.dtype)
+    """Gradients of spn_forward: returns (dx, dgates (H, W, C, 4, K)).
+
+    Each direction group's gate gradient is summed over the units in its
+    stack's layout and written to the grid once, after the last unit.
+    """
+    stacks = [sc.stack for sc in caches[0].scans]
+    dslots = [np.zeros(st.slots.shape, dtype=grad.dtype) for st in stacks]
     g = grad
     for unit in reversed(caches):
-        # the scans overwrite each direction's gradient with its input gradient
-        dx = integrate_max_backward(g, unit.winner).astype(dtype, copy=False)
-        for sc in unit.scans:
-            dirs = sc.stack.directions
-            _scan_backward(sc, [dx[d] for d in dirs],
-                           [dgates[:, :, :, d, :] for d in dirs])
-        g = dx[0] + dx[1] + dx[2] + dx[3]
-    return g, dgates
+        g = _unit_backward(unit, g, dslots)
+    # allocated after the units: the accumulators are as large as dgates,
+    # and holding both through the units would raise the peak
+    dgates = np.empty(grad.shape + (4, stacks[0].kind.gates_per_direction),
+                      dtype=grad.dtype)
+    for st, acc in zip(stacks, dslots):
+        st.unstack_slots(acc, [dgates[:, :, :, d, :] for d in st.directions])
+    return g, zero_boundary(dgates, stacks[0].kind)
 
 
 def step_matrix(gate_line: np.ndarray, kind: ConnectionKind) -> np.ndarray:

@@ -35,6 +35,7 @@ from .dataset import load_sample, load_split
 from .errors import ConfigError, ContractError, TrainingAborted, require_at_least
 from .guidance import (
     FIELD_PARSERS,
+    FIELD_WRITERS,
     Architecture,
     checkpoint_save,
     conv3x3_backward,
@@ -58,6 +59,10 @@ from .stability import (
 from .tensor import flush_subnormals, read_key_values
 
 
+# the architecture fields' defaults are `Architecture`'s, in their text form
+_ARCH = Architecture()
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a run needs; serializes to key=value lines."""
@@ -67,11 +72,11 @@ class TrainConfig:
     lr: float = 1e-4
     momentum: float = 0.9
     seed: int = 0
-    units: int = 2
-    prop_channels: int = 8
-    widths: str = "8,16,32"
-    scale: int = 2
-    kind: str = "three"
+    units: int = _ARCH.units
+    prop_channels: int = _ARCH.prop_channels
+    widths: str = FIELD_WRITERS["tuple"](_ARCH.widths)
+    scale: int = _ARCH.scale
+    kind: str = FIELD_WRITERS["ConnectionKind"](_ARCH.kind)
     post_gain: float = 3.0
     time_limit: float = 0.0
 

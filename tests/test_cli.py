@@ -84,6 +84,22 @@ def test_empty_grid_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--coarse-blur", "-1", "coarse_blur must be at least 0, got -1"),
+    ("--coarse-factor", "0", "coarse_factor must be at least 1, got 0"),
+], ids=["coarse-blur-neg", "coarse-factor-0"])
+def test_gen_data_rejects_bad_coarse_settings(capsys, tmp_path, flag, value, message):
+    # a negative blur count used to render as blur 0 and be written to the
+    # manifest; nothing is written now
+    out_dir = tmp_path / "ds"
+    rc, out, err = run(capsys, "gen-data", "--out", str(out_dir), "--train", "1",
+                       "--val", "1", "--size", "16", flag, value)
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_gradcheck_passes(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--coords", "120")
     assert rc == 0

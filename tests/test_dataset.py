@@ -107,6 +107,12 @@ def test_make_coarse_probabilities():
     assert 0.55 < agree < 1.0
 
 
+def test_make_coarse_rejects_negative_blur():
+    labels = np.zeros((16, 16), dtype=np.int32)
+    with pytest.raises(ConfigError, match="blur must be >= 0"):
+        make_coarse(labels, 2, factor=4, blur=-1)
+
+
 def test_labels_map_roundtrip():
     labels = np.arange(6, dtype=np.int32).reshape(2, 3)
     np.testing.assert_array_equal(map_to_labels(labels_to_map(labels)), labels)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spnkit.errors import ContractError, DimensionError
 from spnkit.fdcheck import check_gradient
 from spnkit.propagation import (
+    DIRECTION_NAMES,
     Direction,
     ConnectionKind,
     _to_scan,
@@ -627,3 +630,87 @@ def test_zero_boundary_rejects_empty_grid(height, width, kind):
             zero(g, kind)
     with pytest.raises(DimensionError, match="grid dimensions must be >= 1"):
         boundary_mask(height, width, kind)
+
+
+def mask_check_boundary_zeros(gate_data, kind, direction=None):
+    """The full-mask check: what `check_boundary_zeros` replaced."""
+    mask = boundary_mask(gate_data.shape[0], gate_data.shape[1], kind)[:, :, None]
+    where = "(row, col, chan, dir, slot)"
+    if direction is not None:
+        mask = mask[:, :, :, direction]
+        where = f"direction {DIRECTION_NAMES[direction]}, (row, col, chan, slot)"
+    bad = (gate_data != 0.0) & mask
+    if bad.any():
+        i = np.argwhere(bad)[0]
+        raise ContractError(
+            f"boundary gate must be zero at {where}="
+            f"{tuple(int(v) for v in i)}, found {gate_data[tuple(i)]!r}")
+
+
+def _check_message(check, gate_data, kind, direction=None):
+    """The ContractError message `check` raises, or None if it passes."""
+    try:
+        check(gate_data, kind, direction)
+    except ContractError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 6), (6, 1), (4, 5), (6, 6)])
+@pytest.mark.parametrize("kind", [ONE, THREE])
+def test_check_boundary_zeros_matches_mask_reference(height, width, kind):
+    # one nonzero or NaN pinned entry per direction x slot, at every pinned
+    # position, must give the reference's message byte for byte; -0.0 passes
+    rng = np.random.default_rng(10 * height + width)
+    base = random_gates(height, width, 2, kind, rng, high=0.3)
+    pinned = boundary_mask(height, width, kind)
+    assert _check_message(check_boundary_zeros, base, kind) is None
+    for d in Direction:
+        assert _check_message(check_boundary_zeros, base[:, :, :, d], kind, d) is None
+        for slot in range(kind.gates_per_direction):
+            cells = np.argwhere(pinned[:, :, d, slot])
+            assert len(cells)
+            for r, c in cells:
+                for value in (0.5, -1e-30, np.nan, -0.0):
+                    g = base.copy()
+                    g[r, c, 1, d, slot] = value
+                    for data, direction in ((g, None), (g[:, :, :, d], d)):
+                        msg = _check_message(check_boundary_zeros, data, kind, direction)
+                        ref = _check_message(mask_check_boundary_zeros, data, kind, direction)
+                        assert msg == ref
+                        assert (msg is None) == (value == 0.0)
+    # a NaN on a free gate is not the boundary check's business
+    free = np.argwhere(~pinned)
+    if len(free):
+        r, c, d, slot = free[0]
+        g = base.copy()
+        g[r, c, 0, d, slot] = np.nan
+        assert _check_message(check_boundary_zeros, g, kind) is None
+        assert _check_message(mask_check_boundary_zeros, g, kind) is None
+
+
+# --- spn_backward's memory -----------------------------------------------
+
+
+@pytest.mark.parametrize("height,width,kind,bound", [
+    (48, 48, THREE, 2.35), (32, 48, THREE, 2.44),
+    (48, 48, ONE, 5.05), (32, 48, ONE, 5.32),
+])
+def test_spn_backward_peak_memory(height, width, kind, bound):
+    # the peak traced allocation inside spn_backward, over the gate
+    # gradient's size, may not exceed what the per-unit grid writes needed
+    # (float32, C=4, two units; one stack at 48x48, two at 32x48)
+    rng = np.random.default_rng(16)
+    gates = random_gates(height, width, 4, kind, rng).astype(np.float32)
+    x = rng.standard_normal((height, width, 4)).astype(np.float32)
+    grad = rng.standard_normal(x.shape).astype(np.float32)
+    _, caches = spn_forward(x, gates, kind, units=2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _, dgates = spn_backward(grad, caches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dgates.shape == gates.shape
+    assert peak / dgates.nbytes <= bound

@@ -7,7 +7,7 @@ import spnkit.training as training
 from spnkit.dataset import gen_toy_dataset, load_sample, load_split
 from spnkit.errors import ConfigError, TrainingAborted
 from spnkit.fdcheck import check_gradient
-from spnkit.guidance import checkpoint_load
+from spnkit.guidance import Architecture, checkpoint_load
 from spnkit.training import (
     IoUAccumulator,
     TrainConfig,
@@ -181,6 +181,16 @@ def test_train_config_roundtrip(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("\n".join(cfg.to_lines()) + "\n")
     assert TrainConfig.from_file(path) == cfg
+
+
+def test_default_config_is_default_architecture():
+    # the architecture fields' defaults have one owner, `Architecture`; the
+    # default config.txt lines stay as they were
+    assert TrainConfig().architecture(2) == Architecture()
+    assert TrainConfig().to_lines() == [
+        "epochs=10", "batch=4", "lr=0.0001", "momentum=0.9", "seed=0", "units=2",
+        "prop_channels=8", "widths=8,16,32", "scale=2", "kind=three",
+        "post_gain=3.0", "time_limit=0.0"]
 
 
 def test_train_config_rejects_unknown_key(tmp_path):
