@@ -70,7 +70,6 @@ class DenseAffinity:
     height: int
     width: int
     direction: Direction
-    kind: ConnectionKind
 
     @property
     def pixels(self) -> int:
@@ -114,7 +113,7 @@ def build_dense_affinity(gates_dir: np.ndarray, direction: Direction,
             for k, b in enumerate(blocks):
                 G[c, r, k * n:(k + 1) * n] = b
             prev_blocks = blocks
-    return DenseAffinity(G, height, width, direction, kind)
+    return DenseAffinity(G, height, width, direction)
 
 
 def oracle_propagate(x: np.ndarray, gates_dir: np.ndarray, direction: Direction,
@@ -186,14 +185,14 @@ class SparsityStats:
     block_lower_triangular: bool
 
 
-def sparsity_stats(aff: DenseAffinity, tol: float = 0.0) -> SparsityStats:
+def sparsity_stats(aff: DenseAffinity) -> SparsityStats:
     """Count structural nonzeros and confirm the block triangular layout."""
-    nz = int((np.abs(aff.G) > tol).sum())
+    nz = int((np.abs(aff.G) > 0.0).sum())
     n, steps = _scan_dims(aff.height, aff.width, aff.direction)
     tri = True
     for t in range(steps):
         upper = aff.G[:, t * n:(t + 1) * n, (t + 1) * n:]
-        if upper.size and np.abs(upper).max() > tol:
+        if upper.size and np.abs(upper).max() > 0.0:
             tri = False
             break
     total = aff.channels * aff.pixels * aff.pixels

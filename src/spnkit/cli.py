@@ -10,6 +10,7 @@ checks catch the planted defect is itself part of the verification story.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -33,7 +34,6 @@ from .guidance import FIELD_PARSERS, checkpoint_load
 from .propagation import (
     ConnectionKind,
     Direction,
-    DIRECTION_NAMES,
     KIND_NAMES,
     NAME_TO_DIRECTION,
     NAME_TO_KIND,
@@ -41,9 +41,8 @@ from .propagation import (
     boundary_mask,
     check_boundary_zeros,
     propagate_direction,
-    propagate_direction_backward,
-    propagate_direction_cached,
     random_gates,
+    spn_backward,
     spn_forward,
 )
 from .stability import (
@@ -74,6 +73,10 @@ def cmd_verify(args) -> int:
     # grid sides are drawn from [2, --max-size]
     require_at_least(("--trials", args.trials, 1), ("--max-size", args.max_size, 2),
                      ("--channels", args.channels, 1))
+    largest = math.isqrt(aff.MAX_ORACLE_PIXELS)  # the dense oracle's grid cap
+    if args.max_size > largest:
+        raise ConfigError(f"--max-size must be at most {largest} (dense oracle cap "
+                          f"of {aff.MAX_ORACLE_PIXELS} pixels), got {args.max_size}")
     rng = np.random.default_rng(args.seed)
     kind = NAME_TO_KIND[args.kind]
     dtype = np.float64 if args.bits == 64 else np.float32
@@ -166,31 +169,37 @@ def cmd_gradcheck(args) -> int:
         scale = np.abs(grad).max() or 1.0
         return grad + 0.05 * scale * rng.standard_normal(grad.shape)
 
+    # the path training runs: two units, so the gate gradient adds up across
+    # units; a square grid scans as one four-direction stack, a non-square
+    # one as two. Coordinates whose perturbation moves a max-pool winner
+    # are skipped.
     total = 0
-    for kind in ConnectionKind:
-        kind_name = KIND_NAMES[kind]
-        d = Direction(int(rng.integers(0, 4)))
-        x = rng.standard_normal((5, 6, 2))
-        g = random_gates(5, 6, 2, kind, rng, high=0.8 / kind.gates_per_direction)
-        gd = g[:, :, :, d, :].copy()
+    for kind, (h, w) in ((ConnectionKind.ONE_WAY, (6, 6)),
+                         (ConnectionKind.THREE_WAY, (5, 6))):
+        label = f"{KIND_NAMES[kind]},{h}x{w}"
+        x = rng.standard_normal((h, w, 2))
+        g = random_gates(h, w, 2, kind, rng, high=0.8 / kind.gates_per_direction)
         wts = rng.standard_normal(x.shape)
-        _, cache = propagate_direction_cached(x, gd, d, kind)
-        dx, dg = propagate_direction_backward(wts, cache)
-        res = check_gradient(
-            lambda a: float((propagate_direction(a, gd, d, kind) * wts).sum()),
-            x, fuzz(dx), rng=rng, num=budget_each, eps=args.eps)
+        dx, dg = spn_backward(wts, spn_forward(x, g, kind, units=2)[1])
+
+        def loss(a, b):
+            return float((spn_forward(a, b, kind, units=2)[0] * wts).sum())
+
+        def winners(a, b):
+            return b"".join(c.winner.tobytes()
+                            for c in spn_forward(a, b, kind, units=2)[1])
+
+        res = check_gradient(lambda a: loss(a, g), x, fuzz(dx), rng=rng,
+                             num=budget_each, eps=args.eps,
+                             signature=lambda a: winners(a, g))
         total += res.checked
-        log.record(f"scan-input[{kind_name},{DIRECTION_NAMES[d]}]",
-                   res.max_rel_err < 1e-4, str(res))
-        mask = np.broadcast_to(
-            (~boundary_mask(5, 6, kind)[:, :, d, :])[:, :, None, :],
-            gd.shape).copy()
-        res = check_gradient(
-            lambda a: float((propagate_direction(x, a, d, kind) * wts).sum()),
-            gd, fuzz(dg), rng=rng, num=budget_each, eps=args.eps, mask=mask)
+        log.record(f"spn-input[{label}]", res.max_rel_err < 1e-4, str(res))
+        free = np.broadcast_to(~boundary_mask(h, w, kind)[:, :, None], g.shape)
+        res = check_gradient(lambda a: loss(x, a), g, fuzz(dg), rng=rng,
+                             num=budget_each, eps=args.eps, mask=free,
+                             signature=lambda a: winners(x, a))
         total += res.checked
-        log.record(f"scan-gates[{kind_name},{DIRECTION_NAMES[d]}]",
-                   res.max_rel_err < 1e-4, str(res))
+        log.record(f"spn-gates[{label}]", res.max_rel_err < 1e-4, str(res))
 
     g = random_gates(4, 4, 2, ConnectionKind.THREE_WAY, rng, low=-1.3, high=1.3)
     wts = rng.standard_normal(g.shape)

@@ -87,15 +87,18 @@ def _convex_polygon(yy, xx, rng, size):
     return inside
 
 
+def _check_sample_args(size: int, classes: int) -> None:
+    if not 2 <= classes <= MAX_CLASSES:
+        raise ConfigError(f"classes must be in [2, {MAX_CLASSES}], got {classes}")
+    require_at_least(("size", size, 8))
+
+
 def render_sample(rng: np.random.Generator, size: int, classes: int):
     """Draw one sample. Returns (image (S, S, 3) float32, labels (S, S) int32).
 
     Every returned sample contains at least two distinct labels.
     """
-    if classes < 2 or classes > MAX_CLASSES:
-        raise ConfigError(f"classes must be in [2, {MAX_CLASSES}]")
-    if size < 8:
-        raise ConfigError("size must be at least 8")
+    _check_sample_args(size, classes)
     yy, xx = _pixel_grid(size)
     for _ in range(32):
         base = rng.uniform(0.08, 0.22)
@@ -180,6 +183,7 @@ def gen_toy_dataset(root, n_train: int, n_val: int, size: int, classes: int,
     if n_train < 1 or n_val < 1:
         raise ConfigError("need at least one training and one validation item")
     require_at_least(("coarse_factor", coarse_factor, 1), ("coarse_blur", coarse_blur, 0))
+    _check_sample_args(size, classes)
     root = Path(root)
     for sub in ("images", "masks", "coarse"):
         (root / sub).mkdir(parents=True, exist_ok=True)

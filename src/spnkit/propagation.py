@@ -292,8 +292,8 @@ def _scan_backward(cache: ScanCache, g: np.ndarray, dslots: np.ndarray) -> None:
     the same layout. The gate gradient is added into `dslots`, shaped like
     the stack's `slots`, with one subtract, multiply and add per slot over
     the whole stack. Entries of `dslots` on separator lines, and at gates
-    the boundary contract pins to zero, hold no gradient: the callers zero
-    the pinned ones after writing the blocks to the grid.
+    the boundary contract pins to zero, hold no gradient: `spn_backward`
+    zeros the pinned ones after writing the blocks to the grid.
     """
     st = cache.stack
     if st.kind == ConnectionKind.ONE_WAY:
@@ -332,47 +332,24 @@ def _scan_backward(cache: ScanCache, g: np.ndarray, dslots: np.ndarray) -> None:
     np.multiply(st.coef[1:], g[1:], out=g[1:])
 
 
-def _check_inputs(x: np.ndarray, gates_dir: np.ndarray, kind: ConnectionKind):
+def _check_inputs(x: np.ndarray, gates: np.ndarray, slots: tuple) -> None:
+    """`x` must be (H, W, C) and `gates` shaped (H, W, C) + `slots`."""
     if x.ndim != 3:
-        raise DimensionError("input must be (H, W, C)")
-    k = kind.gates_per_direction
-    if gates_dir.shape != x.shape + (k,):
+        raise DimensionError(f"input shaped {x.shape}, expected (H, W, C)")
+    if gates.shape != x.shape + slots:
         raise DimensionError(
-            f"gates shaped {gates_dir.shape}, expected {x.shape + (k,)}")
+            f"gates shaped {gates.shape}, expected {x.shape + slots}")
 
 
 def propagate_direction(x: np.ndarray, gates_dir: np.ndarray,
-                        direction: Direction, kind: ConnectionKind,
-                        check: bool = True) -> np.ndarray:
+                        direction: Direction, kind: ConnectionKind) -> np.ndarray:
     """Propagate (H, W, C) values along one direction. Gates are (H, W, C, K)."""
-    h, _ = propagate_direction_cached(x, gates_dir, direction, kind, check)
-    return h
-
-
-def propagate_direction_cached(x, gates_dir, direction, kind, check=True):
-    _check_inputs(x, gates_dir, kind)
-    if check:
-        check_boundary_zeros(gates_dir, kind, direction)
+    _check_inputs(x, gates_dir, (kind.gates_per_direction,))
+    check_boundary_zeros(gates_dir, kind, direction)
     stack = ScanStack([gates_dir], (direction,), kind, x.dtype)
-    cache = _scan(stack, [x])
     h = np.empty_like(x)
-    stack.unstack(cache.h_scan, [h])
-    return h, cache
-
-
-def propagate_direction_backward(grad: np.ndarray, cache: ScanCache):
-    """Gradients of a single scan. Returns (dx, dgates) in grid orientation."""
-    st = cache.stack
-    g = st.stack([grad])
-    dslots = np.zeros_like(st.slots)
-    _scan_backward(cache, g, dslots)
-    dx = np.empty_like(grad, dtype=g.dtype)
-    dgates = np.empty(grad.shape + (st.kind.gates_per_direction,), dtype=g.dtype)
-    st.unstack(g, [dx])
-    st.unstack_slots(dslots, [dgates])
-    for pinned in _pinned(dgates, st.kind, st.directions[0]):
-        pinned[...] = 0.0
-    return dx, dgates
+    stack.unstack(_scan(stack, [x]).h_scan, [h])
+    return h
 
 
 def integrate_max(h_stack: np.ndarray):
@@ -429,10 +406,7 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
     """
     if units < 1:
         raise DimensionError("units must be >= 1")
-    k = kind.gates_per_direction
-    if gate_data.shape != x.shape + (4, k):
-        raise DimensionError(
-            f"gates shaped {gate_data.shape}, expected {x.shape + (4, k)}")
+    _check_inputs(x, gate_data, (4, kind.gates_per_direction))
     if check:
         check_boundary_zeros(gate_data, kind)
     stacks = [ScanStack([gate_data[:, :, :, d, :] for d in group], group,

@@ -85,11 +85,10 @@ class StabilityReport:
     per_direction: tuple
     pixels_exceeding: int
     worst_position: tuple
-    tol: float = STABILITY_TOL
 
     @property
     def ok(self) -> bool:
-        return self.max_abs_sum <= 1.0 + self.tol
+        return self.max_abs_sum <= 1.0 + STABILITY_TOL
 
     def to_csv(self) -> str:
         lines = ["direction,max_abs_gate_sum,pixels_exceeding"]
@@ -101,25 +100,23 @@ class StabilityReport:
     def __str__(self):
         state = "stable" if self.ok else "UNSTABLE"
         return (f"{state}: max |gate| row sum {self.max_abs_sum:.6g} "
-                f"(limit {1.0 + self.tol:.6g}), {self.pixels_exceeding} "
+                f"(limit {1.0 + STABILITY_TOL:.6g}), {self.pixels_exceeding} "
                 f"position(s) above 1 at tolerance, worst at {self.worst_position}")
 
 
-def verify_stability(gate_data: np.ndarray, kind: ConnectionKind,
-                     tol: float = STABILITY_TOL) -> StabilityReport:
+def verify_stability(gate_data: np.ndarray, kind: ConnectionKind) -> StabilityReport:
     """Check the circle bound over every pixel, channel, and direction."""
     sums = gate_abs_sums(gate_data, kind)
     per_direction = []
     for d in Direction:
         sd = sums[:, :, :, d]
         per_direction.append((DIRECTION_NAMES[d], float(sd.max()),
-                              int((sd > 1.0 + tol).sum())))
+                              int((sd > 1.0 + STABILITY_TOL).sum())))
     worst_flat = int(np.argmax(sums))
     worst = tuple(int(v) for v in np.unravel_index(worst_flat, sums.shape))
     return StabilityReport(
         max_abs_sum=float(sums.max()),
         per_direction=tuple(per_direction),
-        pixels_exceeding=int((sums > 1.0 + tol).sum()),
+        pixels_exceeding=int((sums > 1.0 + STABILITY_TOL).sum()),
         worst_position=worst,
-        tol=tol,
     )

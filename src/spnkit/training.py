@@ -111,9 +111,8 @@ class TrainConfig:
         kv = {key: value for _, key, value in read_key_values(path, ConfigError)}
         return TrainConfig.from_mapping(kv)
 
-    def architecture(self, classes: int, image_channels: int = 3) -> Architecture:
+    def architecture(self, classes: int) -> Architecture:
         return Architecture(
-            image_channels=image_channels,
             widths=parse_widths(self.widths),
             prop_channels=self.prop_channels,
             classes=classes,

@@ -51,6 +51,8 @@ def test_verify_fault_injection(capsys, fault, marker):
     (("verify", "--trials", "0"), "--trials must be at least 1, got 0"),
     (("verify", "--max-size", "1"), "--max-size must be at least 2, got 1"),
     (("verify", "--channels", "0"), "--channels must be at least 1, got 0"),
+    (("verify", "--max-size", "21"),
+     "--max-size must be at most 20 (dense oracle cap of 400 pixels), got 21"),
     (("gradcheck", "--eps", "0"), "--eps must be a positive finite step, got 0.0"),
     (("gradcheck", "--eps", "-1"), "--eps must be a positive finite step, got -1.0"),
     (("gradcheck", "--eps", "nan"), "--eps must be a positive finite step, got nan"),
@@ -58,7 +60,7 @@ def test_verify_fault_injection(capsys, fault, marker):
     (("affinity", "--channels", "-2"), "--channels must be at least 1, got -2"),
     (("impulse", "--gate-value", "nan"), "--gate-value must be finite, got nan"),
     (("impulse", "--gate-value", "inf"), "--gate-value must be finite, got inf"),
-], ids=["trials-0", "max-size-1", "channels-0", "eps-0", "eps-neg", "eps-nan",
+], ids=["trials-0", "max-size-1", "channels-0", "max-size-21", "eps-0", "eps-neg", "eps-nan",
         "affinity-channels-0", "affinity-channels-neg", "impulse-gate-value-nan",
         "impulse-gate-value-inf"])
 def test_check_arguments_out_of_range_exit_2(capsys, argv, message):
@@ -87,10 +89,14 @@ def test_empty_grid_exit_2(capsys, argv):
 @pytest.mark.parametrize("flag,value,message", [
     ("--coarse-blur", "-1", "coarse_blur must be at least 0, got -1"),
     ("--coarse-factor", "0", "coarse_factor must be at least 1, got 0"),
-], ids=["coarse-blur-neg", "coarse-factor-0"])
+    ("--size", "4", "size must be at least 8, got 4"),
+    ("--classes", "9", "classes must be in [2, 8], got 9"),
+    ("--classes", "1", "classes must be in [2, 8], got 1"),
+], ids=["coarse-blur-neg", "coarse-factor-0", "size-4", "classes-9", "classes-1"])
 def test_gen_data_rejects_bad_coarse_settings(capsys, tmp_path, flag, value, message):
     # a negative blur count used to render as blur 0 and be written to the
-    # manifest; nothing is written now
+    # manifest, and a bad size or class count left empty directories behind;
+    # nothing is written now
     out_dir = tmp_path / "ds"
     rc, out, err = run(capsys, "gen-data", "--out", str(out_dir), "--train", "1",
                        "--val", "1", "--size", "16", flag, value)
@@ -104,6 +110,9 @@ def test_gradcheck_passes(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--coords", "120")
     assert rc == 0
     assert "FAIL" not in out
+    for line in ("spn-input[one,6x6]", "spn-gates[one,6x6]",
+                 "spn-input[three,5x6]", "spn-gates[three,5x6]"):
+        assert has_line(out, f"{line}: PASS (checked 15 coords"), line
     total = int(out.rsplit("total coordinates checked:", 1)[1].split()[0])
     assert total >= 120
 
@@ -113,6 +122,23 @@ def test_gradcheck_perturbed_backward_fails(capsys):
                      "--perturb-backward")
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_gradcheck_catches_wrong_spn_gate_gradient(capsys, monkeypatch):
+    # the audit runs the backward that training runs: a 1% error in its
+    # gate gradient must fail the spn-gates lines
+    from spnkit import cli, propagation
+
+    def wrong(grad, caches):
+        dx, dgates = propagation.spn_backward(grad, caches)
+        return dx, dgates * 1.01
+
+    monkeypatch.setattr(cli, "spn_backward", wrong)
+    rc, out, _ = run(capsys, "gradcheck", "--coords", "120")
+    assert rc == 1
+    assert has_line(out, "spn-gates[one,6x6]: FAIL")
+    assert has_line(out, "spn-gates[three,5x6]: FAIL")
+    assert has_line(out, "spn-input[three,5x6]: PASS")
 
 
 def test_affinity_report(capsys, tmp_path):

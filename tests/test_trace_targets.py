@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spnkit import propagation
 from spnkit.propagation import ConnectionKind, random_gates
 from spnkit.stability import project_gates_cached
 
@@ -43,3 +44,19 @@ def test_project_hook_counts_rescaled_rows(high):
     assert (rescaled > 0) == (high > 1.0)
     stats = _workloads()._project_hook((g, kind), {}, project_gates_cached(g, kind))
     assert stats == {"active": rescaled, "rows": 6 * 5 * 2 * 4}
+
+
+def test_scan_gate_catches_perturbed_scans(monkeypatch):
+    # the benchmark's correctness gate: 16 single-direction checks and 4
+    # pooled ones, each caught by its own perturbation alone
+    workloads = _workloads()
+    assert workloads.scan_gate(0) == (20, [])
+    for name, perturb, caught in (
+            ("propagate_direction", lambda out: out + 1e-9, 16),
+            ("spn_forward", lambda out: (out[0] + 1e-9, out[1]), 4)):
+        with monkeypatch.context() as m:
+            original = getattr(propagation, name)
+            m.setattr(propagation, name,
+                      lambda *a, f=original, p=perturb, **k: p(f(*a, **k)))
+            attempted, failures = workloads.scan_gate(0)
+        assert attempted == 20 and len(failures) == caught, (name, failures)
