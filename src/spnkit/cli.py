@@ -10,6 +10,7 @@ checks catch the planted defect is itself part of the verification story.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields, replace
@@ -159,6 +160,7 @@ def cmd_verify(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not (np.isfinite(args.eps) and args.eps > 0.0):
         raise ConfigError(f"--eps must be a positive finite step, got {args.eps!r}")
+    require_at_least(("--coords", args.coords, 1))
     rng = np.random.default_rng(args.seed)
     log = CheckLog()
     budget_each = max(args.coords // 8, 10)
@@ -411,6 +413,7 @@ def cmd_refine(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spn",
@@ -502,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (FormatError, ConfigError, CheckpointError, DimensionError) as e:

@@ -21,11 +21,30 @@ The batch sampler is reseeded identically every epoch: with a zero learning
 rate the per-epoch metrics repeat exactly, which pins down accidental hidden
 state. Gradients are averaged per pixel within a sample and summed over the
 batch.
+
+`train` spreads each batch's samples, and each epoch's validation samples,
+over one process per allowed core: this process takes the first share and
+forked workers the rest. The parameters sit in shared memory that the
+workers read; only sample indices go out and per-sample results come back,
+and the batch's gradients are summed here in batch order, so the results do
+not depend on the number of processes. While `train` runs, the loaded
+OpenBLAS is held to one thread per process; where that cannot be done,
+there is no `fork`, or other Python threads run, training stays in this
+process.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import mmap
+import multiprocessing
+import os
+import signal
+import threading
 import time
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -290,18 +309,223 @@ class TrainResult:
 METRIC_FIELDS = ("epoch", "loss", "val_iou", "gate_max_abs_sum", "is_best", "seconds")
 
 
-def evaluate(params, arch, samples, restrict: bool = False) -> float:
-    """Mean IoU over samples; with `restrict`, each sample is predicted
-    among the labels of its own truth only."""
+def _sample_iou(params, arch, sample, restrict: bool = False):
+    """Per-class (intersection, union) pixel counts of one prediction."""
+    image, labels, coarse = sample
+    allowed = np.unique(labels) if restrict else None
     acc = IoUAccumulator(arch.classes)
-    for image, labels, coarse in samples:
-        allowed = np.unique(labels) if restrict else None
-        acc.update(refine_sample(params, arch, image, coarse, allowed)[0], labels)
+    acc.update(refine_sample(params, arch, image, coarse, allowed)[0], labels)
+    return acc.inter, acc.union
+
+
+def evaluate(params, arch, samples, restrict: bool = False, pool=None) -> float:
+    """Mean IoU over samples; with `restrict`, each sample is predicted
+    among the labels of its own truth only. A `_SamplePool` holding
+    `samples` spreads them over its processes."""
+    if pool is None:
+        counts = [_sample_iou(params, arch, s, restrict) for s in samples]
+    else:
+        counts = pool.map(_sample_iou, samples, range(len(samples)), restrict)
+    acc = IoUAccumulator(arch.classes)
+    for inter, union in counts:  # integer sums: the order does not matter
+        acc.inter += inter
+        acc.union += union
     return acc.mean()
 
 
-def train(config: TrainConfig, data_dir, out_dir, progress=None) -> TrainResult:
-    """Run the full loop; writes checkpoints, metrics.csv, and config.txt."""
+def _sample_step(params, arch, sample):
+    """One sample's (loss, gradients, None), or (loss, None, abort message)
+    when the loss is not finite."""
+    image, labels, coarse = sample
+    logits, cache = pipeline_forward(params, arch, image, coarse)
+    loss, dlogits = softmax_xent(logits, labels)
+    if not np.isfinite(loss):
+        return loss, None, _gate_abort_message(loss, cache["gates"], arch.kind)
+    return loss, pipeline_backward(dlogits, cache), None
+
+
+# --- processes ------------------------------------------------------------
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS loaded in this
+    process, or None when none is found (no /proc, or another BLAS)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({parts[5].strip() for parts in
+                            (line.split(None, 5) for line in fh)
+                            if len(parts) == 6 and "openblas" in parts[5]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold the loaded OpenBLAS to one thread inside the block and restore
+    its count after. Yields whether it could: a fork beside a
+    multi-threaded BLAS is never safe, and per-sample processes on one
+    BLAS thread each are faster than either alone."""
+    api = _openblas_threads()
+    if api is None:
+        yield False
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+def _process_count(workers, batch: int, blas_pinned: bool) -> int:
+    """`workers` (tests set it) or the allowed cores, at most one per
+    sample of a batch; 1 without a pinned BLAS, without `fork`, or beside
+    another Python thread, which a fork could catch holding a lock."""
+    if workers is not None:
+        require_at_least(("workers", workers, 1))
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = 1
+    if (not blas_pinned or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(workers, batch)
+
+
+def _shared(arrays: dict) -> dict:
+    """Copies of `arrays` as 64-byte aligned views into one anonymous shared
+    mapping: a forked child reads every in-place update made after the fork."""
+    offsets, size = [], 0
+    for a in arrays.values():
+        offsets.append(size)
+        size += -(-a.nbytes // 64) * 64
+    buf = mmap.mmap(-1, max(size, 1))
+    out = {}
+    for (key, a), offset in zip(arrays.items(), offsets):
+        view = np.frombuffer(buf, dtype=a.dtype, count=a.size, offset=offset)
+        out[key] = view.reshape(a.shape)
+        out[key][...] = a
+    return out
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker, as its cause."""
+
+
+class _SamplePool:
+    """Maps a per-sample function over this process and `processes - 1`
+    forked workers. The workers inherit `params`, `arch` and `splits`
+    (lists of samples) at the fork, so requests carry only sample indices;
+    `params` must live in shared memory (`_shared`) for the workers to see
+    later updates. Leaving the block stops the workers."""
+
+    def __init__(self, params, arch, splits, processes: int):
+        self.params, self.arch, self.splits = params, arch, splits
+        self.conns, self.procs = [], []
+        try:
+            for _ in range(processes - 1):
+                ctx = multiprocessing.get_context("fork")  # absent on some platforms
+                here, there = ctx.Pipe()
+                proc = ctx.Process(target=_serve, daemon=True, args=(
+                    there, self.conns + [here], params, arch, splits))
+                proc.start()
+                there.close()
+                self.conns.append(here)
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def map(self, fn, samples, indices, *args) -> list:
+        """[fn(params, arch, samples[i], *args) for i in indices], each
+        process taking one contiguous share; `samples` is one of `splits`."""
+        split = next(k for k, s in enumerate(self.splits) if s is samples)
+        shares = np.array_split(np.asarray(indices, dtype=np.intp),
+                                len(self.conns) + 1)
+        busy = [(conn, share) for conn, share in zip(self.conns, shares[1:]) if share.size]
+        for conn, share in busy:
+            conn.send((fn, split, share.tolist(), args))
+        results = [fn(self.params, self.arch, samples[i], *args) for i in shares[0]]
+        for conn, _ in busy:
+            results += _receive(conn)
+        return results
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        for conn in self.conns:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is gone already
+                pass
+            conn.close()
+        for proc in self.procs:
+            proc.join(timeout=10.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+
+
+def _receive(conn) -> list:
+    try:
+        reply = conn.recv()
+    except EOFError:
+        raise RuntimeError("a training worker exited without replying") from None
+    if reply[0] == "raised":
+        raise reply[1] from _WorkerTraceback(reply[2])
+    return reply[1]
+
+
+def _serve(conn, inherited, params, arch, splits) -> None:
+    """A worker's loop: answer `_SamplePool.map` shares until told to stop
+    or the pool is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+    for other in inherited:  # so that a closed pool reads as EOF here
+        other.close()
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        if request is None:
+            return
+        fn, split, share, args = request
+        try:
+            reply = ("done", [fn(params, arch, splits[split][i], *args) for i in share])
+        except Exception as e:  # re-raised by the parent
+            reply = ("raised", e, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+def train(config: TrainConfig, data_dir, out_dir, progress=None, *,
+          workers=None) -> TrainResult:
+    """Run the full loop; writes checkpoints, metrics.csv, and config.txt.
+
+    `workers` overrides the process count, which is otherwise one per
+    allowed core; the results do not depend on it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_idx, val_idx, meta = load_split(data_dir)
@@ -319,63 +543,65 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None) -> TrainResult:
     rows = []
     best = -1.0
     started = time.perf_counter()
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_FIELDS)
-        for epoch in range(config.epochs):
-            t0 = time.perf_counter()
-            # identical sampler stream every epoch: zero-lr runs repeat exactly
-            order = np.random.default_rng(config.seed + 1).permutation(len(train_samples))
-            losses = []
-            for start in range(0, len(order), config.batch):
-                batch = [train_samples[i] for i in order[start:start + config.batch]]
-                grads = None
-                batch_loss = 0.0
-                for image, labels, coarse in batch:
-                    logits, cache = pipeline_forward(params, arch, image, coarse)
-                    loss, dlogits = softmax_xent(logits, labels)
-                    if not np.isfinite(loss):
-                        raise TrainingAborted(_gate_abort_message(
-                            loss, cache["gates"], arch.kind))
-                    batch_loss += loss
-                    g = pipeline_backward(dlogits, cache)
-                    if grads is None:
-                        grads = g
-                    else:
-                        for k in grads:
-                            grads[k] += g[k]
-                sgd_step(params, grads, velocity, config.lr, config.momentum)
-                losses.append(batch_loss / len(batch))
+    with _one_blas_thread() as pinned:
+        processes = _process_count(workers, config.batch, pinned)
+        if processes > 1:
+            params = _shared(params)  # sgd_step updates it in place
+        with _SamplePool(params, arch, (train_samples, val_samples), processes) as pool, \
+             open(out / "metrics.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(METRIC_FIELDS)
+            for epoch in range(config.epochs):
+                t0 = time.perf_counter()
+                # identical sampler stream every epoch: zero-lr runs repeat exactly
+                order = np.random.default_rng(config.seed + 1).permutation(len(train_samples))
+                losses = []
+                for start in range(0, len(order), config.batch):
+                    steps = pool.map(_sample_step, train_samples,
+                                     order[start:start + config.batch])
+                    grads = None
+                    batch_loss = 0.0
+                    for loss, g, abort in steps:  # batch order, as a serial loop
+                        if abort is not None:
+                            raise TrainingAborted(abort)
+                        batch_loss += loss
+                        if grads is None:
+                            grads = g
+                        else:
+                            for k in grads:
+                                grads[k] += g[k]
+                    sgd_step(params, grads, velocity, config.lr, config.momentum)
+                    losses.append(batch_loss / len(steps))
 
-            # keep only the gates: caches held through `evaluate` below
-            # would raise the run's peak memory
-            gates = build_gates(params, arch, val_samples[0][0])[0]
-            health = verify_stability(gates, arch.kind)
-            if not health.ok:
-                raise ContractError(f"gate projection failed to bound gates: {health}")
+                # keep only the gates: caches held through `evaluate` below
+                # would raise the run's peak memory
+                gates = build_gates(params, arch, val_samples[0][0])[0]
+                health = verify_stability(gates, arch.kind)
+                if not health.ok:
+                    raise ContractError(f"gate projection failed to bound gates: {health}")
 
-            val_iou = evaluate(params, arch, val_samples)
-            is_best = val_iou > best
-            if is_best:
-                best = val_iou
-                checkpoint_save(out / "best", arch, params,
+                val_iou = evaluate(params, arch, val_samples, pool=pool)
+                is_best = val_iou > best
+                if is_best:
+                    best = val_iou
+                    checkpoint_save(out / "best", arch, params,
+                                    meta={"epoch": epoch, "val_iou": repr(val_iou)})
+                checkpoint_save(out / "last", arch, params,
                                 meta={"epoch": epoch, "val_iou": repr(val_iou)})
-            checkpoint_save(out / "last", arch, params,
-                            meta={"epoch": epoch, "val_iou": repr(val_iou)})
-            row = {
-                "epoch": epoch,
-                "loss": repr(float(np.mean(losses))),
-                "val_iou": repr(val_iou),
-                "gate_max_abs_sum": repr(health.max_abs_sum),
-                "is_best": int(is_best),
-                "seconds": f"{time.perf_counter() - t0:.3f}",
-            }
-            writer.writerow([row[k] for k in METRIC_FIELDS])
-            fh.flush()
-            rows.append(row)
-            if progress is not None:
-                progress(row)
-            if config.time_limit and time.perf_counter() - started > config.time_limit:
-                break
+                row = {
+                    "epoch": epoch,
+                    "loss": repr(float(np.mean(losses))),
+                    "val_iou": repr(val_iou),
+                    "gate_max_abs_sum": repr(health.max_abs_sum),
+                    "is_best": int(is_best),
+                    "seconds": f"{time.perf_counter() - t0:.3f}",
+                }
+                writer.writerow([row[k] for k in METRIC_FIELDS])
+                fh.flush()
+                rows.append(row)
+                if progress is not None:
+                    progress(row)
+                if config.time_limit and time.perf_counter() - started > config.time_limit:
+                    break
     return TrainResult(best_iou=best, coarse_iou=base_iou,
                        epochs_run=len(rows), out_dir=str(out), rows=rows)

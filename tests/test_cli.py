@@ -56,11 +56,14 @@ def test_verify_fault_injection(capsys, fault, marker):
     (("gradcheck", "--eps", "0"), "--eps must be a positive finite step, got 0.0"),
     (("gradcheck", "--eps", "-1"), "--eps must be a positive finite step, got -1.0"),
     (("gradcheck", "--eps", "nan"), "--eps must be a positive finite step, got nan"),
+    (("gradcheck", "--coords", "0"), "--coords must be at least 1, got 0"),
+    (("gradcheck", "--coords", "-5"), "--coords must be at least 1, got -5"),
     (("affinity", "--channels", "0"), "--channels must be at least 1, got 0"),
     (("affinity", "--channels", "-2"), "--channels must be at least 1, got -2"),
     (("impulse", "--gate-value", "nan"), "--gate-value must be finite, got nan"),
     (("impulse", "--gate-value", "inf"), "--gate-value must be finite, got inf"),
 ], ids=["trials-0", "max-size-1", "channels-0", "max-size-21", "eps-0", "eps-neg", "eps-nan",
+        "coords-0", "coords-neg",
         "affinity-channels-0", "affinity-channels-neg", "impulse-gate-value-nan",
         "impulse-gate-value-inf"])
 def test_check_arguments_out_of_range_exit_2(capsys, argv, message):

@@ -1,4 +1,8 @@
 import csv
+import io
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +267,8 @@ def test_train_seeded_rerun_bit_exact(tiny_dataset, tmp_path):
         assert pa[k].tobytes() == pb[k].tobytes(), k
 
 
-def test_train_aborts_on_non_finite(tiny_dataset, tmp_path, monkeypatch):
+@pytest.fixture
+def poisoned_init(monkeypatch):
     real_init = training.init_pipeline_params
 
     def poisoned(arch, rng, post_gain=3.0, dtype=np.float32):
@@ -272,8 +277,127 @@ def test_train_aborts_on_non_finite(tiny_dataset, tmp_path, monkeypatch):
         return params
 
     monkeypatch.setattr(training, "init_pipeline_params", poisoned)
+
+
+def test_train_aborts_on_non_finite(tiny_dataset, tmp_path, poisoned_init):
     with pytest.raises(TrainingAborted, match="gate statistics"):
         train(tiny_config(), tiny_dataset, tmp_path / "bad")
+
+
+# --- worker processes ---------------------------------------------------
+
+needs_workers = pytest.mark.skipif(
+    training._openblas_threads() is None
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no OpenBLAS thread setter or no fork: train runs in one process")
+
+
+def _run_files(out) -> dict:
+    """Every file a run wrote, with metrics.csv's `seconds` column dropped."""
+    files = {}
+    for path in sorted(Path(out).rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "metrics.csv":
+                rows = list(csv.reader(io.StringIO(data.decode())))
+                assert rows[0][-1] == "seconds"
+                data = [row[:-1] for row in rows]
+            files[path.relative_to(out).as_posix()] = data
+    return files
+
+
+@pytest.mark.parametrize("seed,batch", [(1, 3), (2, 4), (3, 5)])
+def test_train_results_do_not_depend_on_workers(tiny_dataset, tmp_path, seed, batch):
+    # batches of 3+3, 4+2 and 5+1 samples over 1, 2 and 3 processes
+    runs = [_run_files(train(tiny_config(seed=seed, batch=batch), tiny_dataset,
+                             tmp_path / f"w{n}", workers=n).out_dir)
+            for n in (1, 2, 3)]
+    assert {p.split("/")[0] for p in runs[0]} == {"config.txt", "metrics.csv", "best", "last"}
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_train_abort_message_does_not_depend_on_workers(tiny_dataset, tmp_path,
+                                                         poisoned_init):
+    messages = []
+    for n in (1, 2):
+        with pytest.raises(TrainingAborted, match="gate statistics") as info:
+            train(tiny_config(), tiny_dataset, tmp_path / f"w{n}", workers=n)
+        messages.append(str(info.value))
+    assert messages[1] == messages[0]
+
+
+def test_train_aborts_at_a_bad_sample_in_a_worker_share(tiny_dataset, tmp_path,
+                                                        monkeypatch):
+    # the first batch's third sample: with two processes, the worker's share
+    cfg = tiny_config()
+    train_idx, _, _ = load_split(tiny_dataset)
+    order = np.random.default_rng(cfg.seed + 1).permutation(len(train_idx))
+    bad = load_sample(tiny_dataset, train_idx[order[2]])[0]
+    real_forward = training.pipeline_forward
+
+    def forward(params, arch, image, coarse):
+        logits, cache = real_forward(params, arch, image, coarse)
+        return (logits * np.nan if np.array_equal(image, bad) else logits), cache
+
+    monkeypatch.setattr(training, "pipeline_forward", forward)
+    messages = []
+    for n in (1, 2):
+        with pytest.raises(TrainingAborted, match="non-finite loss nan") as info:
+            train(cfg, tiny_dataset, tmp_path / f"w{n}", workers=n)
+        messages.append(str(info.value))
+    assert messages[1] == messages[0]
+
+
+def _in_workers_only(monkeypatch, action):
+    """Make pipeline_backward run `action` in any process but this one."""
+    parent, real_backward = os.getpid(), training.pipeline_backward
+
+    def backward(grad, cache):
+        if os.getpid() != parent:
+            action()
+        return real_backward(grad, cache)
+
+    monkeypatch.setattr(training, "pipeline_backward", backward)
+
+
+@needs_workers
+def test_train_reraises_a_worker_exception(tiny_dataset, tmp_path, monkeypatch):
+    def fail():
+        raise RuntimeError("backward failed in a worker")
+
+    _in_workers_only(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="backward failed in a worker") as info:
+        train(tiny_config(), tiny_dataset, tmp_path / "run", workers=2)
+    assert "in fail" in str(info.value.__cause__)  # the worker's traceback
+
+
+@needs_workers
+def test_train_raises_when_a_worker_dies(tiny_dataset, tmp_path, monkeypatch):
+    _in_workers_only(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="worker exited without replying"):
+        train(tiny_config(), tiny_dataset, tmp_path / "run", workers=2)
+
+
+@needs_workers
+def test_train_restores_blas_threads(tiny_dataset, tmp_path, monkeypatch):
+    get, put = training._openblas_threads()
+    real_forward = training.pipeline_forward
+    during = set()
+
+    def forward(*args):
+        during.add(get())
+        return real_forward(*args)
+
+    monkeypatch.setattr(training, "pipeline_forward", forward)
+    original = get()
+    try:
+        put(2)
+        train(tiny_config(epochs=1), tiny_dataset, tmp_path / "run", workers=2)
+        assert get() == 2
+    finally:
+        put(original)
+    assert during == {1}
 
 
 def test_evaluate_restrict_matches_refine_sample():
