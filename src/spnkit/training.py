@@ -278,10 +278,6 @@ class IoUAccumulator:
             return 0.0
         return float((self.inter[seen] / self.union[seen]).mean())
 
-    def per_class(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.where(self.union > 0, self.inter / self.union, np.nan)
-
 
 def coarse_iou(samples, classes: int) -> float:
     acc = IoUAccumulator(classes)

@@ -1,8 +1,16 @@
+import ctypes
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import spnkit
+from spnkit import cli
 from spnkit.cli import main
 from spnkit.dataset import gen_toy_dataset, labels_to_map, map_to_labels
 from spnkit.tensor import read_array, read_image_pnm, write_array, write_image_pnm
@@ -448,3 +456,81 @@ def test_eval_rejects_unknown_kind(capsys, trained, tmp_path):
     assert rc == 2
     assert "unknown kind 'two'" in err
     assert "missing" not in err
+
+
+_REFINE_FAULTS = """
+import contextlib, io, resource, sys
+from pathlib import Path
+import numpy as np
+from spnkit import cli, dataset, guidance, tensor, training
+
+work = Path(sys.argv[1])
+rng = np.random.default_rng(7)
+config = training.TrainConfig(kind="one", seed=7)
+arch = config.architecture(2)
+params = training.init_pipeline_params(arch, rng, post_gain=config.post_gain)
+guidance.checkpoint_save(work / "ckpt", arch, params)
+image, labels = dataset.render_sample(rng, 64, 2)
+tensor.write_image_pnm(work / "img.ppm", tensor.map_from_array(image))
+tensor.write_array(work / "coarse.spnt", dataset.make_coarse(labels, 2))
+argv = ["refine", "--checkpoint", str(work / "ckpt"), "--image", str(work / "img.ppm"),
+        "--coarse", str(work / "coarse.spnt"), "--out", str(work / "pred.pgm")]
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_refine_takes_no_page_faults(tmp_path):
+    # A fresh interpreter, so that pytest's own heap does not decide the count.
+    # Under glibc's dynamic thresholds each 64x64 request here re-faults about
+    # 400 pages of temporaries; with the policy `main` sets it reuses them.
+    src = str(Path(spnkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _REFINE_FAULTS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    faults = [int(f) for f in done.stdout.split()]
+    assert len(faults) == 6
+    assert max(faults[3:]) <= 64, f"minor faults per request: {faults}"
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "no mallopt", 0, 1])
+def test_allocator_policy_fallback_and_once_per_process(capsys, monkeypatch, libc):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return libc
+
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError("no C library")
+        return SimpleNamespace() if libc == "no mallopt" else SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli.keep_freed_memory.cache_clear()
+    try:
+        for _ in range(2):
+            assert run(capsys, "verify", "--trials", "1")[0] == 0
+        assert cli.keep_freed_memory() is (libc == 1)
+    finally:
+        cli.keep_freed_memory.cache_clear()
+    # a rejected first value stops before the second; either way, once
+    expected = [(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD),
+                (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD)]
+    expected = {0: expected[:1], 1: expected}.get(libc, [])
+    assert calls == expected
