@@ -10,7 +10,6 @@ from .errors import (
     TrainingAborted,
 )
 from .tensor import (
-    Map,
     map_from_array,
     read_array,
     write_array,
@@ -39,7 +38,6 @@ __all__ = [
     "ConfigError",
     "CheckpointError",
     "TrainingAborted",
-    "Map",
     "map_from_array",
     "read_array",
     "write_array",

@@ -382,7 +382,7 @@ def cmd_eval(args) -> int:
 
 def cmd_refine(args) -> int:
     arch, params, _ = checkpoint_load(args.checkpoint)
-    image = read_image_pnm(args.image).data
+    image = read_image_pnm(args.image)
     coarse = read_array(args.coarse)
     if coarse.ndim != 3 or coarse.shape[2] != arch.classes:
         raise DimensionError(
@@ -394,7 +394,7 @@ def cmd_refine(args) -> int:
             f"{image.shape[0]}x{image.shape[1]}")
     require_finite(coarse, f"coarse map {args.coarse}")
     if args.truth:
-        truth = ds.map_to_labels(read_image_pnm(args.truth))
+        truth = ds.map_to_labels(read_image_pnm(args.truth), f"truth mask {args.truth}")
         if truth.shape != image.shape[:2]:
             raise DimensionError(
                 f"truth mask is {truth.shape[0]}x{truth.shape[1]}, image is "

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, require_at_least
 from .tensor import (
-    Map,
     map_from_array,
     read_array,
     read_image_pnm,
@@ -156,14 +155,18 @@ def make_coarse(labels: np.ndarray, classes: int, factor: int = 8,
     return probs.astype(np.float32)
 
 
-def labels_to_map(labels: np.ndarray) -> Map:
+def labels_to_map(labels: np.ndarray) -> np.ndarray:
+    """Labels (H, W) as a 1-channel image of values k/255, for a PGM mask."""
     if labels.max() > 255 or labels.min() < 0:
         raise DimensionError("labels must fit in a byte")
     return map_from_array(labels.astype(np.float32) / 255.0)
 
 
-def map_to_labels(m: Map) -> np.ndarray:
-    return np.rint(m.data[:, :, 0] * 255.0).astype(np.int32)
+def map_to_labels(image: np.ndarray, what: str = "label mask") -> np.ndarray:
+    """Labels (H, W) int32 from a 1-channel mask image; `what` names it in errors."""
+    if image.shape[2] != 1:
+        raise FormatError(f"{what} has {image.shape[2]} channels, a label mask has 1")
+    return np.rint(image[:, :, 0] * 255.0).astype(np.int32)
 
 
 def _sha256(path: Path) -> str:
@@ -203,7 +206,7 @@ def gen_toy_dataset(root, n_train: int, n_val: int, size: int, classes: int,
         image, labels = render_sample(rng, size, classes)
         coarse = make_coarse(labels, classes, coarse_factor, coarse_blur)
         ipath, mpath, cpath = _item_paths(root, index)
-        write_image_pnm(ipath, map_from_array(image))
+        write_image_pnm(ipath, image)
         write_image_pnm(mpath, labels_to_map(labels))
         write_array(cpath, coarse)
         split = "train" if index < n_train else "val"
@@ -251,12 +254,15 @@ def load_split(root) -> tuple[list, list, dict]:
 def load_sample(root, index: int):
     """Returns (image (S, S, 3) f32, labels (S, S) i32, coarse (S, S, C) f32)."""
     ipath, mpath, cpath = _item_paths(Path(root), index)
-    image = read_image_pnm(ipath).data
-    labels = map_to_labels(read_image_pnm(mpath))
+    image = read_image_pnm(ipath)
+    labels = map_to_labels(read_image_pnm(mpath), f"mask for item {index}")
     coarse = read_array(cpath)
     if coarse.ndim != 3 or coarse.shape[:2] != labels.shape:
         raise FormatError(f"coarse map for item {index} has shape {coarse.shape}")
     require_finite(coarse, f"coarse map for item {index}")
+    if labels.max() >= coarse.shape[2]:
+        raise FormatError(f"mask for item {index} has label {labels.max()}, its "
+                          f"coarse map has {coarse.shape[2]} classes")
     return image, labels, coarse
 
 

@@ -3,13 +3,12 @@
 Three formats are read and written here: a small binary tensor container
 ("SPNT") for bit-exact array round-trips, binary PGM/PPM images for 1- and
 3-channel data, and the `key=value` text lines of configs and manifests.
-Images cross the PNM boundary as a :class:`Map`, a validated (height, width,
-channels) float grid.
+Images cross the PNM boundary as plain (height, width, channels) float
+arrays, checked by :func:`map_from_array`.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,49 +25,26 @@ _DTYPE_TO_CODE = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _WHITESPACE = (9, 10, 13, 32)
 
 
-@dataclass(frozen=True)
-class Map:
-    """Immutable (height, width, channels) grid of float32 or float64 values."""
+def map_from_array(arr) -> np.ndarray:
+    """Check an image as a (height, width, channels) float array and return it.
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = self.data
-        if not isinstance(arr, np.ndarray) or arr.ndim != 3:
-            raise DimensionError("map data must be a (height, width, channels) array")
-        if arr.dtype not in (np.float32, np.float64):
-            raise DimensionError(f"map dtype must be float32 or float64, got {arr.dtype}")
-        if arr.size == 0:
-            raise DimensionError("map dimensions must all be >= 1")
-        if arr.size > MAX_ELEMENTS:
-            raise DimensionError(f"map has {arr.size} entries, limit is {MAX_ELEMENTS}")
-        if not np.isfinite(arr).all():
-            raise DimensionError("map entries must all be finite")
-        arr = np.ascontiguousarray(arr).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-def map_from_array(arr) -> Map:
-    """Wrap an array-like as a Map; non-float data is converted to float32."""
+    A 2-D array gets one channel and non-float data is converted to float32;
+    a conforming float array is returned as is, without a copy.
+    """
     a = np.asarray(arr)
     if a.dtype not in (np.float32, np.float64):
         a = a.astype(np.float32)
     if a.ndim == 2:
         a = a[:, :, None]
-    return Map(a)
+    if a.ndim != 3:
+        raise DimensionError("map data must be a (height, width, channels) array")
+    if a.size == 0:
+        raise DimensionError("map dimensions must all be >= 1")
+    if a.size > MAX_ELEMENTS:
+        raise DimensionError(f"map has {a.size} entries, limit is {MAX_ELEMENTS}")
+    if not np.isfinite(a).all():
+        raise DimensionError("map entries must all be finite")
+    return a
 
 
 @functools.lru_cache(maxsize=64)
@@ -217,8 +193,9 @@ def _int_token(data: bytes, pos: int) -> tuple[int, int]:
     return int(tok), pos
 
 
-def read_image_pnm(path) -> Map:
-    """Read a binary PGM (P5) or PPM (P6) with maxval 255 into a [0, 1] map."""
+def read_image_pnm(path) -> np.ndarray:
+    """Read a binary PGM (P5) or PPM (P6) with maxval 255 into a read-only
+    (height, width, channels) float32 array of values in [0, 1]."""
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0)
     if magic == b"P5":
@@ -243,21 +220,25 @@ def read_image_pnm(path) -> Map:
             f"payload size mismatch at byte {pos + 1}: expected {expected} bytes, "
             f"found {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Map(arr.astype(np.float32) / np.float32(255.0))
+    image = map_from_array(arr.astype(np.float32) / np.float32(255.0))
+    image.setflags(write=False)
+    return image
 
 
-def write_image_pnm(path, m: Map) -> None:
-    """Write a 1-channel map as PGM or a 3-channel map as PPM, maxval 255.
+def write_image_pnm(path, image) -> None:
+    """Write a 1-channel image as PGM or a 3-channel image as PPM, maxval 255.
 
     Values are clamped to [0, 1] and quantized; a second read/write cycle is
     then exact.
     """
-    if m.channels == 1:
+    image = map_from_array(image)
+    height, width, channels = image.shape
+    if channels == 1:
         magic = "P5"
-    elif m.channels == 3:
+    elif channels == 3:
         magic = "P6"
     else:
-        raise DimensionError(f"PNM images need 1 or 3 channels, map has {m.channels}")
-    q = np.rint(np.clip(m.data, 0.0, 1.0) * 255.0).astype(np.uint8)
-    header = f"{magic}\n{m.width} {m.height}\n255\n".encode("ascii")
+        raise DimensionError(f"PNM images need 1 or 3 channels, map has {channels}")
+    q = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+    header = f"{magic}\n{width} {height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + q.tobytes())

@@ -352,6 +352,36 @@ def test_refine_rejects_truth_label_out_of_range(capsys, trained, tmp_path):
     assert not pred.exists()
 
 
+def test_refine_rejects_truth_with_3_channels(capsys, trained, tmp_path):
+    truth = tmp_path / "truth.ppm"
+    truth.write_bytes(b"P6\n16 16\n255\n" + bytes(16 * 16 * 3))
+    rc, err, pred = _refine(capsys, trained, tmp_path, truth=truth)
+    assert rc == 2
+    assert err.startswith("error: ") and f"truth mask {truth} has 3 channels" in err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_mask_label_beyond_classes_exit_2(capsys, trained, tmp_path, command):
+    import shutil
+    ds_dir, out_dir = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(ds_dir, ds)
+    mask = ds / "masks" / "0000.pgm"
+    labels = map_to_labels(read_image_pnm(mask))
+    labels[labels == 1] = 5
+    write_image_pnm(mask, labels_to_map(labels))
+    argv = {"train": ["train", "--data", str(ds), "--out", str(tmp_path / "run"),
+                      "--epochs", "1", "--prop-channels", "3", "--widths", "3,4,5"],
+            "eval": ["eval", "--checkpoint", str(out_dir / "best"), "--data", str(ds),
+                     "--split", "train"],
+            }[command]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: ") and "mask for item 0 has label 5" in err
+    assert "IoU" not in out
+
+
 def test_gen_data_check_rejects_malformed_item_index(capsys, trained, tmp_path):
     import shutil
     ds_dir, _ = trained

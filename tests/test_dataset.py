@@ -17,7 +17,7 @@ from spnkit.dataset import (
     verify_dataset,
 )
 from spnkit.errors import ConfigError, FormatError
-from spnkit.tensor import read_array, write_array
+from spnkit.tensor import read_array, read_image_pnm, write_array, write_image_pnm
 
 
 def test_render_sample_basics():
@@ -164,6 +164,24 @@ def test_load_sample_rejects_nonfinite_coarse(tmp_path):
     coarse[3, 5, 1] = np.nan
     write_array(path, coarse)
     with pytest.raises(FormatError, match=r"item 0 .*nan.* at index \(3, 5, 1\)"):
+        load_sample(root, 0)
+
+
+def test_load_sample_rejects_mask_label_beyond_coarse_channels(tmp_path):
+    _, root = make_ds(tmp_path)
+    path = root / "masks" / "0001.pgm"
+    labels = map_to_labels(read_image_pnm(path))
+    labels[labels == 1] = 5
+    write_image_pnm(path, labels_to_map(labels))
+    with pytest.raises(FormatError, match="mask for item 1 has label 5, its coarse "
+                                          "map has 2 classes"):
+        load_sample(root, 1)
+
+
+def test_load_sample_rejects_3_channel_mask(tmp_path):
+    _, root = make_ds(tmp_path)
+    (root / "masks" / "0000.pgm").write_bytes(b"P6\n24 24\n255\n" + bytes(24 * 24 * 3))
+    with pytest.raises(FormatError, match="mask for item 0 has 3 channels"):
         load_sample(root, 0)
 
 

@@ -6,7 +6,6 @@ from spnkit import (
     ConfigError,
     DimensionError,
     FormatError,
-    Map,
     map_from_array,
     read_array,
     read_image_pnm,
@@ -19,23 +18,42 @@ from spnkit.tensor import flush_subnormals, interp_matrix, resize_array
 def test_map_rejects_nonfinite():
     arr = np.ones((2, 2, 1), dtype=np.float32)
     arr[0, 0, 0] = np.nan
-    with pytest.raises(DimensionError):
-        Map(arr)
+    with pytest.raises(DimensionError, match="finite"):
+        map_from_array(arr)
 
 
-def test_map_is_immutable_and_copies():
-    src = np.ones((2, 2, 1), dtype=np.float32)
-    m = Map(src)
-    src[0, 0, 0] = 9.0
-    assert m.data[0, 0, 0] == 1.0
+def test_map_is_immutable_and_copies(tmp_path):
+    p = tmp_path / "one.pgm"
+    p.write_bytes(b"P5\n2 2\n255\n" + bytes([255] * 4))
+    m = read_image_pnm(p)
+    assert type(m) is np.ndarray and m.dtype == np.float32
+    assert m[0, 0, 0] == 1.0
+    assert not m.flags.writeable
     with pytest.raises(ValueError):
-        m.data[0, 0, 0] = 5.0
+        m[0, 0, 0] = 5.0
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((4,), "(height, width, channels)"),
+    ((1, 2, 3, 4), "(height, width, channels)"),
+    ((0, 2, 1), ">= 1"),
+])
+def test_map_from_array_checks_shape(shape, message):
+    with pytest.raises(DimensionError) as info:
+        map_from_array(np.zeros(shape, dtype=np.float32))
+    assert message in str(info.value)
+
+
+def test_package_exports_every_name_in_all():
+    import spnkit
+    missing = [name for name in spnkit.__all__ if not hasattr(spnkit, name)]
+    assert not missing
 
 
 def test_map_from_array_promotes_2d():
     m = map_from_array(np.arange(6).reshape(2, 3))
-    assert m.data.shape == (2, 3, 1)
-    assert m.data.dtype == np.float32
+    assert m.shape == (2, 3, 1)
+    assert m.dtype == np.float32
 
 
 def test_interp_matrix_identity():
@@ -169,22 +187,22 @@ def test_pgm_roundtrip_extremes(tmp_path):
     p = tmp_path / "x.pgm"
     p.write_bytes(b"P5\n2 1\n255\n" + bytes([255, 0]))
     m = read_image_pnm(p)
-    assert m.data.shape == (1, 2, 1)
-    assert m.data[0, 0, 0] == pytest.approx(1.0)
-    assert m.data[0, 1, 0] == pytest.approx(0.0)
+    assert m.shape == (1, 2, 1)
+    assert m[0, 0, 0] == pytest.approx(1.0)
+    assert m[0, 1, 0] == pytest.approx(0.0)
 
 
 def test_pnm_comment_and_whitespace_header(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5 # hello\n# another\n 2\t1 \n255\n" + bytes([10, 20]))
     m = read_image_pnm(p)
-    assert m.data.shape == (1, 2, 1)
-    assert m.data[0, 1, 0] == pytest.approx(20 / 255)
+    assert m.shape == (1, 2, 1)
+    assert m[0, 1, 0] == pytest.approx(20 / 255)
 
 
 def test_ppm_write_then_read_is_stable(tmp_path):
     rng = np.random.default_rng(9)
-    m = Map(rng.random((4, 3, 3)).astype(np.float32))
+    m = rng.random((4, 3, 3)).astype(np.float32)
     p1 = tmp_path / "a.ppm"
     p2 = tmp_path / "b.ppm"
     write_image_pnm(p1, m)
@@ -212,8 +230,8 @@ def test_pnm_write_clamps(tmp_path):
     p = tmp_path / "cl.pgm"
     write_image_pnm(p, m)
     back = read_image_pnm(p)
-    assert back.data[0, 0, 0] == 0.0
-    assert back.data[1, 0, 0] == 1.0
+    assert back[0, 0, 0] == 0.0
+    assert back[1, 0, 0] == 1.0
 
 
 def test_pnm_rejects_2_channels(tmp_path):
