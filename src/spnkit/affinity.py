@@ -83,20 +83,28 @@ class DenseAffinity:
         return self.G.sum(axis=2)
 
 
-def build_dense_affinity(gates_dir: np.ndarray, direction: Direction,
-                         kind: ConnectionKind) -> DenseAffinity:
-    """Assemble G from one direction's (H, W, C, K) gates."""
+def _dense_scan_gates(gates_dir: np.ndarray, direction: Direction,
+                      kind: ConnectionKind) -> np.ndarray:
+    """One direction's (H, W, C, K) gates, checked against the dense cap,
+    as a float64 (parallel, steps, C, K) array in scan order."""
     if gates_dir.ndim != 4 or gates_dir.shape[3] != kind.gates_per_direction:
         raise DimensionError(
             f"gates shaped {gates_dir.shape}, expected (H, W, C, {kind.gates_per_direction})")
-    height, width, channels = gates_dir.shape[:3]
-    total = height * width
+    total = gates_dir.shape[0] * gates_dir.shape[1]
     if total > MAX_ORACLE_PIXELS:
         raise DimensionError(
-            f"dense build needs {total} pixels, capped at {MAX_ORACLE_PIXELS}")
+            f"dense views need {total} pixels, capped at {MAX_ORACLE_PIXELS}")
+    return np.ascontiguousarray(_to_scan(gates_dir, direction), dtype=np.float64)
+
+
+def build_dense_affinity(gates_dir: np.ndarray, direction: Direction,
+                         kind: ConnectionKind) -> DenseAffinity:
+    """Assemble G from one direction's (H, W, C, K) gates."""
+    gs = _dense_scan_gates(gates_dir, direction, kind)
     check_boundary_zeros(gates_dir, kind, direction)
-    n, steps = _scan_dims(height, width, direction)
-    gs = np.ascontiguousarray(_to_scan(gates_dir, direction), dtype=np.float64)
+    height, width, channels = gates_dir.shape[:3]
+    total = height * width
+    n, steps = gs.shape[:2]
     eye = np.eye(n)
     G = np.zeros((channels, total, total))
     for c in range(channels):
@@ -206,14 +214,8 @@ def step_spectra(gates_dir: np.ndarray, direction: Direction,
     Eigenvalues come from dense eigendecomposition; grids small enough for
     the dense cap pose no conditioning concerns.
     """
-    if gates_dir.ndim != 4 or gates_dir.shape[3] != kind.gates_per_direction:
-        raise DimensionError("gates must be (H, W, C, K)")
-    height, width, channels = gates_dir.shape[:3]
-    if height * width > MAX_ORACLE_PIXELS:
-        raise DimensionError(
-            f"spectra need {height * width} pixels, capped at {MAX_ORACLE_PIXELS}")
-    _, steps = _scan_dims(height, width, direction)
-    gs = np.ascontiguousarray(_to_scan(gates_dir, direction), dtype=np.float64)
+    gs = _dense_scan_gates(gates_dir, direction, kind)
+    _, steps, channels = gs.shape[:3]
     out = np.zeros((max(steps - 1, 0), channels))
     for t in range(1, steps):
         for c in range(channels):

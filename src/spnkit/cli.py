@@ -368,7 +368,8 @@ def cmd_eval(args) -> int:
     arch, params, _ = checkpoint_load(args.checkpoint)
     train_idx, val_idx, meta = tr.load_split(args.data)
     idx = val_idx if args.split == "val" else train_idx
-    samples, classes = [tr.load_sample(args.data, i) for i in idx], int(meta["classes"])
+    classes = int(meta["classes"])
+    samples = [tr.load_sample(args.data, i, classes) for i in idx]
     if classes != arch.classes:
         raise DimensionError(
             f"checkpoint has {arch.classes} classes, dataset has {classes}")

@@ -251,14 +251,23 @@ def load_split(root) -> tuple[list, list, dict]:
     return train, val, meta
 
 
-def load_sample(root, index: int):
-    """Returns (image (S, S, 3) f32, labels (S, S) i32, coarse (S, S, C) f32)."""
+def load_sample(root, index: int, classes: int | None = None):
+    """Returns (image (S, S, 3) f32, labels (S, S) i32, coarse (S, S, C) f32).
+
+    With `classes` (the manifest's), the coarse map must have that many
+    channels."""
     ipath, mpath, cpath = _item_paths(Path(root), index)
     image = read_image_pnm(ipath)
     labels = map_to_labels(read_image_pnm(mpath), f"mask for item {index}")
+    if image.shape[:2] != labels.shape:
+        raise FormatError(f"image for item {index} is {image.shape[0]}x{image.shape[1]}, "
+                          f"its mask is {labels.shape[0]}x{labels.shape[1]}")
     coarse = read_array(cpath)
     if coarse.ndim != 3 or coarse.shape[:2] != labels.shape:
         raise FormatError(f"coarse map for item {index} has shape {coarse.shape}")
+    if classes is not None and coarse.shape[2] != classes:
+        raise FormatError(f"coarse map for item {index} has {coarse.shape[2]} channels, "
+                          f"the manifest has {classes} classes")
     require_finite(coarse, f"coarse map for item {index}")
     if labels.max() >= coarse.shape[2]:
         raise FormatError(f"mask for item {index} has label {labels.max()}, its "

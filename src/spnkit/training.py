@@ -24,20 +24,20 @@ batch.
 
 `train` spreads each batch's samples, and each epoch's validation samples,
 over one process per allowed core: this process takes the first share and
-forked workers the rest. The parameters sit in shared memory that the
-workers read; only sample indices go out and per-sample results come back,
-and the batch's gradients are summed here in batch order, so the results do
-not depend on the number of processes. While `train` runs, the loaded
-OpenBLAS is held to one thread per process; where that cannot be done,
-there is no `fork`, or other Python threads run, training stays in this
-process.
+workers forked before any data loads take the rest. A worker inherits
+nothing it reads: each request carries the function, the parameters, the
+architecture and that worker's share of the samples, and per-sample results
+come back. The batch's gradients are summed here in batch order, so the
+results do not depend on the number of processes. While `train` runs, the
+loaded OpenBLAS is held to one thread per process; where that cannot be
+done, there is no `fork`, or other Python threads run, training stays in
+this process.
 """
 from __future__ import annotations
 
 import csv
 import ctypes
 import functools
-import mmap
 import multiprocessing
 import os
 import signal
@@ -66,6 +66,7 @@ from .guidance import (
     parse_widths,
     relu_backward,
     relu_forward,
+    relu_signature,
     resize_backward,
     resize_forward,
 )
@@ -239,7 +240,6 @@ def pipeline_backward(grad_logits: np.ndarray, cache: dict) -> dict:
 
 def pipeline_signature(cache: dict) -> bytes:
     """Branch fingerprint for finite-difference checks of the whole model."""
-    from .guidance import relu_signature
     parts = [relu_signature(cache["gcache"]),
              np.packbits(cache["mpre"].reshape(-1)).tobytes(),
              np.packbits(cache["pcache"][3].reshape(-1)).tobytes()]
@@ -316,15 +316,13 @@ def _sample_iou(params, arch, sample, restrict: bool = False):
 
 def evaluate(params, arch, samples, restrict: bool = False, pool=None) -> float:
     """Mean IoU over samples; with `restrict`, each sample is predicted
-    among the labels of its own truth only. A `_SamplePool` holding
-    `samples` spreads them over its processes."""
+    among the labels of its own truth only. A `_SamplePool` spreads the
+    samples over its processes."""
     if pool is None:
-        counts = [_sample_iou(params, arch, s, restrict) for s in samples]
-    else:
-        counts = pool.map(_sample_iou, samples, range(len(samples)), restrict)
+        pool = _SamplePool(1)  # no workers: a serial loop
     acc = IoUAccumulator(arch.classes)
-    for inter, union in counts:  # integer sums: the order does not matter
-        acc.inter += inter
+    for inter, union in pool.map(_sample_iou, params, arch, samples, restrict):
+        acc.inter += inter  # integer sums: the order does not matter
         acc.union += union
     return acc.mean()
 
@@ -404,42 +402,24 @@ def _process_count(workers, batch: int, blas_pinned: bool) -> int:
     return min(workers, batch)
 
 
-def _shared(arrays: dict) -> dict:
-    """Copies of `arrays` as 64-byte aligned views into one anonymous shared
-    mapping: a forked child reads every in-place update made after the fork."""
-    offsets, size = [], 0
-    for a in arrays.values():
-        offsets.append(size)
-        size += -(-a.nbytes // 64) * 64
-    buf = mmap.mmap(-1, max(size, 1))
-    out = {}
-    for (key, a), offset in zip(arrays.items(), offsets):
-        view = np.frombuffer(buf, dtype=a.dtype, count=a.size, offset=offset)
-        out[key] = view.reshape(a.shape)
-        out[key][...] = a
-    return out
-
-
 class _WorkerTraceback(Exception):
     """The traceback of an exception raised in a worker, as its cause."""
 
 
 class _SamplePool:
     """Maps a per-sample function over this process and `processes - 1`
-    forked workers. The workers inherit `params`, `arch` and `splits`
-    (lists of samples) at the fork, so requests carry only sample indices;
-    `params` must live in shared memory (`_shared`) for the workers to see
-    later updates. Leaving the block stops the workers."""
+    forked workers. Each request carries everything the function reads, so
+    the workers need nothing from the fork but code. Leaving the block
+    stops the workers."""
 
-    def __init__(self, params, arch, splits, processes: int):
-        self.params, self.arch, self.splits = params, arch, splits
+    def __init__(self, processes: int):
         self.conns, self.procs = [], []
         try:
             for _ in range(processes - 1):
                 ctx = multiprocessing.get_context("fork")  # absent on some platforms
                 here, there = ctx.Pipe()
-                proc = ctx.Process(target=_serve, daemon=True, args=(
-                    there, self.conns + [here], params, arch, splits))
+                proc = ctx.Process(target=_serve, daemon=True,
+                                   args=(there, self.conns + [here]))
                 proc.start()
                 there.close()
                 self.conns.append(here)
@@ -448,16 +428,15 @@ class _SamplePool:
             self.close()
             raise
 
-    def map(self, fn, samples, indices, *args) -> list:
-        """[fn(params, arch, samples[i], *args) for i in indices], each
-        process taking one contiguous share; `samples` is one of `splits`."""
-        split = next(k for k, s in enumerate(self.splits) if s is samples)
-        shares = np.array_split(np.asarray(indices, dtype=np.intp),
-                                len(self.conns) + 1)
-        busy = [(conn, share) for conn, share in zip(self.conns, shares[1:]) if share.size]
+    def map(self, fn, params, arch, samples, *args) -> list:
+        """[fn(params, arch, s, *args) for s in samples], each process
+        taking one contiguous share."""
+        shares = np.array_split(np.arange(len(samples)), len(self.conns) + 1)
+        shares = [[samples[i] for i in share] for share in shares]
+        busy = [(conn, share) for conn, share in zip(self.conns, shares[1:]) if share]
         for conn, share in busy:
-            conn.send((fn, split, share.tolist(), args))
-        results = [fn(self.params, self.arch, samples[i], *args) for i in shares[0]]
+            conn.send((fn, params, arch, share, args))
+        results = [fn(params, arch, s, *args) for s in shares[0]]
         for conn, _ in busy:
             results += _receive(conn)
         return results
@@ -492,7 +471,7 @@ def _receive(conn) -> list:
     return reply[1]
 
 
-def _serve(conn, inherited, params, arch, splits) -> None:
+def _serve(conn, inherited) -> None:
     """A worker's loop: answer `_SamplePool.map` shares until told to stop
     or the pool is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
@@ -505,9 +484,9 @@ def _serve(conn, inherited, params, arch, splits) -> None:
             return
         if request is None:
             return
-        fn, split, share, args = request
+        fn, params, arch, share, args = request
         try:
-            reply = ("done", [fn(params, arch, splits[split][i], *args) for i in share])
+            reply = ("done", [fn(params, arch, s, *args) for s in share])
         except Exception as e:  # re-raised by the parent
             reply = ("raised", e, traceback.format_exc())
         try:
@@ -524,27 +503,25 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None, *,
     allowed core; the results do not depend on it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_idx, val_idx, meta = load_split(data_dir)
-    classes = int(meta["classes"])
-    train_samples = [load_sample(data_dir, i) for i in train_idx]
-    val_samples = [load_sample(data_dir, i) for i in val_idx]
-    arch = config.architecture(classes)
-    rng = np.random.default_rng(config.seed)
-    params = init_pipeline_params(arch, rng, post_gain=config.post_gain)
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    # forked before the data loads: requests carry all a worker reads
+    with _one_blas_thread() as pinned, \
+         _SamplePool(_process_count(workers, config.batch, pinned)) as pool:
+        train_idx, val_idx, meta = load_split(data_dir)
+        classes = int(meta["classes"])
+        train_samples = [load_sample(data_dir, i, classes) for i in train_idx]
+        val_samples = [load_sample(data_dir, i, classes) for i in val_idx]
+        arch = config.architecture(classes)
+        rng = np.random.default_rng(config.seed)
+        params = init_pipeline_params(arch, rng, post_gain=config.post_gain)
+        velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
-    (out / "config.txt").write_text("\n".join(config.to_lines()) + "\n")
-    base_iou = coarse_iou(val_samples, classes)
+        (out / "config.txt").write_text("\n".join(config.to_lines()) + "\n")
+        base_iou = coarse_iou(val_samples, classes)
 
-    rows = []
-    best = -1.0
-    started = time.perf_counter()
-    with _one_blas_thread() as pinned:
-        processes = _process_count(workers, config.batch, pinned)
-        if processes > 1:
-            params = _shared(params)  # sgd_step updates it in place
-        with _SamplePool(params, arch, (train_samples, val_samples), processes) as pool, \
-             open(out / "metrics.csv", "w", newline="") as fh:
+        rows = []
+        best = -1.0
+        started = time.perf_counter()
+        with open(out / "metrics.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRIC_FIELDS)
             for epoch in range(config.epochs):
@@ -553,8 +530,8 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None, *,
                 order = np.random.default_rng(config.seed + 1).permutation(len(train_samples))
                 losses = []
                 for start in range(0, len(order), config.batch):
-                    steps = pool.map(_sample_step, train_samples,
-                                     order[start:start + config.batch])
+                    batch = [train_samples[i] for i in order[start:start + config.batch]]
+                    steps = pool.map(_sample_step, params, arch, batch)
                     grads = None
                     batch_loss = 0.0
                     for loss, g, abort in steps:  # batch order, as a serial loop

@@ -382,6 +382,33 @@ def test_mask_label_beyond_classes_exit_2(capsys, trained, tmp_path, command):
     assert "IoU" not in out
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("defect,message", [
+    ("image-8x8", "image for item 9 is 8x8, its mask is 16x16"),
+    ("coarse-3-channels", "coarse map for item 9 has 3 channels, the manifest has 2 classes"),
+], ids=["image-8x8", "coarse-3-channels"])
+def test_item_of_wrong_shape_exit_2(capsys, trained, tmp_path, command, defect, message):
+    import shutil
+    ds_dir, out_dir = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(ds_dir, ds)
+    if defect == "image-8x8":
+        path = ds / "images" / "0009.ppm"  # a validation item
+        write_image_pnm(path, read_image_pnm(path)[:8, :8])
+    else:
+        path = ds / "coarse" / "0009.spnt"
+        coarse = read_array(path)
+        write_array(path, np.concatenate([coarse, 0.0 * coarse[:, :, :1]], axis=2))
+    argv = {"train": ["train", "--data", str(ds), "--out", str(tmp_path / "run"),
+                      "--epochs", "1", "--prop-channels", "3", "--widths", "3,4,5"],
+            "eval": ["eval", "--checkpoint", str(out_dir / "best"), "--data", str(ds)],
+            }[command]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert "IoU" not in out
+
+
 def test_gen_data_check_rejects_malformed_item_index(capsys, trained, tmp_path):
     import shutil
     ds_dir, _ = trained

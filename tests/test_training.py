@@ -2,6 +2,7 @@ import csv
 import io
 import multiprocessing
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import spnkit.training as training
 from spnkit.dataset import gen_toy_dataset, load_sample, load_split
-from spnkit.errors import ConfigError, TrainingAborted
+from spnkit.errors import ConfigError, FormatError, TrainingAborted
 from spnkit.fdcheck import check_gradient
 from spnkit.guidance import Architecture, checkpoint_load
 from spnkit.training import (
@@ -26,6 +27,7 @@ from spnkit.training import (
     softmax_xent,
     train,
 )
+from spnkit.tensor import read_image_pnm, write_image_pnm
 
 
 def test_softmax_xent_uniform_logits():
@@ -347,6 +349,33 @@ def test_train_aborts_at_a_bad_sample_in_a_worker_share(tiny_dataset, tmp_path,
             train(cfg, tiny_dataset, tmp_path / f"w{n}", workers=n)
         messages.append(str(info.value))
     assert messages[1] == messages[0]
+
+
+def test_train_needs_no_in_place_parameter_update(tiny_dataset, tmp_path, monkeypatch):
+    # every request carries the parameters, so a step that rebinds them
+    # reaches the workers as an in-place one does
+    def rebinding_step(params, grads, velocity, lr, momentum):
+        for key in params:
+            v = velocity[key]
+            v *= momentum
+            v -= lr * grads[key]
+            params[key] = params[key] + v
+
+    monkeypatch.setattr(training, "sgd_step", rebinding_step)
+    runs = [_run_files(train(tiny_config(), tiny_dataset, tmp_path / f"w{n}",
+                             workers=n).out_dir)
+            for n in (1, 2)]
+    assert runs[1] == runs[0]
+
+
+def test_train_rejects_an_image_of_other_size_than_its_mask(tiny_dataset, tmp_path):
+    # the load fails inside the pool's block, which must still stop the workers
+    data = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, data)
+    path = data / "images" / "0006.ppm"  # the first validation item
+    write_image_pnm(path, read_image_pnm(path)[:8, :8])
+    with pytest.raises(FormatError, match="image for item 6 is 8x8, its mask is 16x16"):
+        train(tiny_config(), data, tmp_path / "run", workers=2)
 
 
 def _in_workers_only(monkeypatch, action):
