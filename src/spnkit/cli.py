@@ -551,8 +551,10 @@ def main(argv=None) -> int:
     except (ContractError, TrainingAborted) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except OSError as e:
+        if e.filename is None:  # no path at fault: a pipe, a fork, ...
+            raise
+        print(f"error: {e}", file=sys.stderr)  # missing, a directory, ...
         return 2
 
 

@@ -25,7 +25,7 @@ from .errors import (CheckpointError, ConfigError, DimensionError, FormatError,
                      require_at_least)
 from .propagation import KIND_NAMES, NAME_TO_KIND, ConnectionKind
 from .tensor import (interp_matrix, read_array, read_key_values, require_finite,
-                     resize_array, write_array)
+                     resize_array, work_dtype, write_array)
 
 
 def _phase_layout(x_shape, stride: int):
@@ -132,17 +132,19 @@ def relu_backward(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def resize_forward(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resize of (H, W, C), float64 accumulation."""
+    """Corner-aligned bilinear resize of (H, W, C), in the input's precision."""
     return resize_array(x, out_h, out_w)
 
 
 def resize_backward(grad: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
-    """Adjoint of resize_forward: transpose of the interpolation matrices."""
-    rh = interp_matrix(in_h, grad.shape[0])
-    rw = interp_matrix(in_w, grad.shape[1])
-    tmp = np.tensordot(rh, grad.astype(np.float64, copy=False), axes=(0, 0))
-    out = np.tensordot(tmp, rw, axes=(1, 0))
-    return np.moveaxis(out, 2, 1).astype(grad.dtype)
+    """Adjoint of resize_forward: the same two products with the transposed
+    interpolation matrices, in the gradient's precision."""
+    oh, ow, c = grad.shape
+    dt = work_dtype(grad.dtype)
+    rh = interp_matrix(in_h, oh, dt)
+    rw = interp_matrix(in_w, ow, dt)
+    tmp = rh.T @ grad.astype(dt, copy=False).reshape(oh, ow * c)
+    return np.matmul(rw.T, tmp.reshape(in_h, ow, c)).astype(grad.dtype, copy=False)
 
 
 def parse_widths(text: str) -> tuple:

@@ -47,16 +47,21 @@ def map_from_array(arr) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=64)
-def interp_matrix(n_in: int, n_out: int) -> np.ndarray:
+@functools.lru_cache(maxsize=128)
+def interp_matrix(n_in: int, n_out: int, dtype=np.float64) -> np.ndarray:
     """Corner-aligned linear interpolation matrix of shape (n_out, n_in).
 
     Rows are convex weights; resizing to the same length is the exact identity.
     A single-sample output takes the first input sample. Results are cached
-    per size pair and returned read-only, so callers share one copy.
+    per size pair and dtype and returned read-only, so callers share one
+    copy; a float32 matrix is the float64 one rounded once.
     """
     if n_in < 1 or n_out < 1:
         raise DimensionError("interpolation sizes must be >= 1")
+    if dtype is not np.float64:
+        r = interp_matrix(n_in, n_out, np.float64).astype(dtype)
+        r.setflags(write=False)
+        return r
     r = np.zeros((n_out, n_in), dtype=np.float64)
     if n_in == 1:
         r[:, 0] = 1.0
@@ -74,13 +79,24 @@ def interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return r
 
 
+def work_dtype(dtype) -> type:
+    """The dtype a resize computes in: float32 for float32 data, else float64."""
+    return np.float32 if dtype == np.float32 else np.float64
+
+
 def resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of an (H, W, C) array; computed in float64, cast back."""
-    rh = interp_matrix(arr.shape[0], out_h)
-    rw = interp_matrix(arr.shape[1], out_w)
-    tmp = np.tensordot(rh, arr.astype(np.float64, copy=False), axes=(1, 0))
-    out = np.tensordot(tmp, rw, axes=(1, 1))          # (out_h, C, out_w)
-    return np.moveaxis(out, 2, 1).astype(arr.dtype)
+    """Bilinear resize of an (H, W, C) array as two matrix products.
+
+    float32 data is computed in float32, with the weights rounded once to
+    float32; other data in float64, cast back. Rows first, `rh @ (H, W*C)`,
+    then one batched product per output row, so no axis is ever transposed.
+    """
+    h, w, c = arr.shape
+    dt = work_dtype(arr.dtype)
+    rh = interp_matrix(h, out_h, dt)
+    rw = interp_matrix(w, out_w, dt)
+    tmp = rh @ arr.astype(dt, copy=False).reshape(h, w * c)
+    return np.matmul(rw, tmp.reshape(out_h, w, c)).astype(arr.dtype, copy=False)
 
 
 def write_array(path, arr: np.ndarray) -> None:

@@ -424,6 +424,50 @@ def test_gen_data_check_rejects_malformed_item_index(capsys, trained, tmp_path):
     assert f"line {ln}" in err
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("refine", "image"), ("refine", "coarse"), ("refine", "out"),
+    ("gen-data", "out"), ("train", "out"),
+], ids=["refine-image-dir", "refine-coarse-dir", "refine-out-dir",
+        "gen-data-out-under-file", "train-out-file"])
+def test_unusable_path_exit_2(capsys, trained, tmp_path, command, bad):
+    # a directory where a file is read or written, a file where a directory
+    # is made: exit 2 naming the path, not a traceback
+    ds_dir, out_dir = trained
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    if command == "refine":
+        paths = {"image": ds_dir / "images" / "0009.ppm",
+                 "coarse": ds_dir / "coarse" / "0009.spnt",
+                 "out": tmp_path / "pred.pgm", bad: a_dir}
+        argv = ["refine", "--checkpoint", str(out_dir / "best"),
+                "--image", str(paths["image"]), "--coarse", str(paths["coarse"]),
+                "--out", str(paths["out"])]
+        named = a_dir
+    elif command == "gen-data":
+        named = a_file / "ds"
+        argv = ["gen-data", "--out", str(named), "--train", "2", "--val", "1",
+                "--size", "16"]
+    else:
+        named = a_file
+        argv = ["train", "--data", str(ds_dir), "--out", str(named),
+                "--epochs", "1", "--prop-channels", "3", "--widths", "3,4,5",
+                "--units", "1"]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: ") and str(named.name) in err
+
+
+def test_os_error_naming_no_path_is_raised(monkeypatch):
+    # a broken pipe or a failed fork is no fault of a path the user gave
+    def broken(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(cli, "checkpoint_load", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["eval", "--checkpoint", "ck", "--data", "ds"])
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 def test_repeated_item_index_exit_2(capsys, trained, tmp_path, command):
     import shutil

@@ -21,6 +21,9 @@ from spnkit.guidance import (
     resize_forward,
 )
 from spnkit.propagation import ConnectionKind
+from spnkit.tensor import interp_matrix
+
+from rounding import assert_within_rounding, resize_cases, separable_terms, two_pass_roundings
 
 
 def conv_ref(x, w, b, stride):
@@ -209,6 +212,49 @@ def test_resize_adjoint_dot_product():
         lhs = float((resize_forward(x, oh, ow) * y).sum())
         rhs = float((x * resize_backward(y, ih, iw)).sum())
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_resize_adjoint_dot_product_float32():
+    # training runs both directions in float32: <R x, y> = <x, R^T y> up to
+    # each resize's roundings (the float32 products are summed in float64,
+    # at most one more float32 rounding)
+    rng = np.random.default_rng(3)
+    for (ih, iw, c), oh, ow in resize_cases(31, count=20):
+        x = rng.standard_normal((ih, iw, c)).astype(np.float32)
+        y = rng.standard_normal((oh, ow, c)).astype(np.float32)
+        rx, rty = resize_forward(x, oh, ow), resize_backward(y, ih, iw)
+        assert rx.dtype == rty.dtype == np.float32
+        lhs = np.dot(rx.ravel().astype(np.float64), y.ravel().astype(np.float64))
+        rhs = np.dot(x.ravel().astype(np.float64), rty.ravel().astype(np.float64))
+        rh, rw = interp_matrix(ih, oh), interp_matrix(iw, ow)
+        fwd_terms, fwd_taps = separable_terms(x, rh, rw)
+        _, adj_taps = separable_terms(y, rh.T, rw.T)
+        abs_terms = float((fwd_terms * np.abs(y)).sum())
+        n = (fwd_taps.max() + 2) + (adj_taps.max() + 2) + 1
+        assert_within_rounding(lhs, rhs, abs_terms, n, np.float32)
+
+
+def _tensordot_resize_backward(grad, in_h, in_w):
+    """resize_backward as it was before the two GEMMs: computed in float64 by
+    two tensordots and a transposing copy, cast back; the reference below."""
+    rh = interp_matrix(in_h, grad.shape[0])
+    rw = interp_matrix(in_w, grad.shape[1])
+    tmp = np.tensordot(rh, grad.astype(np.float64, copy=False), axes=(0, 0))
+    out = np.tensordot(tmp, rw, axes=(1, 0))
+    return np.moveaxis(out, 2, 1).astype(grad.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resize_backward_within_rounding_of_tensordot(dtype):
+    rng = np.random.default_rng(37)
+    for (in_h, in_w, c), out_h, out_w in resize_cases(41):
+        grad = rng.standard_normal((out_h, out_w, c)).astype(dtype)
+        out = resize_backward(grad, in_h, in_w)
+        assert out.shape == (in_h, in_w, c) and out.dtype == dtype
+        abs_terms, taps = separable_terms(
+            grad, interp_matrix(in_h, out_h).T, interp_matrix(in_w, out_w).T)
+        assert_within_rounding(out, _tensordot_resize_backward(grad, in_h, in_w),
+                               abs_terms, two_pass_roundings(taps, dtype), dtype)
 
 
 def small_arch():

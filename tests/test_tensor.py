@@ -14,6 +14,8 @@ from spnkit import (
 )
 from spnkit.tensor import flush_subnormals, interp_matrix, resize_array
 
+from rounding import assert_within_rounding, resize_cases, separable_terms, two_pass_roundings
+
 
 def test_map_rejects_nonfinite():
     arr = np.ones((2, 2, 1), dtype=np.float32)
@@ -81,6 +83,14 @@ def test_interp_matrix_cached_read_only():
     for n_in, n_out in ((7, 13), (1, 4), (4, 1), (64, 32), (32, 64)):
         np.testing.assert_array_equal(interp_matrix(n_in, n_out),
                                       interp_matrix.__wrapped__(n_in, n_out))
+    # the float32 copy: cached beside the float64 one, read-only, rounded once
+    r32 = interp_matrix(7, 13, np.float32)
+    assert r32.dtype == np.float32
+    assert interp_matrix(7, 13, np.float32) is r32
+    assert not r32.flags.writeable
+    with pytest.raises(ValueError):
+        r32[0, 0] = 0.5
+    np.testing.assert_array_equal(r32, r.astype(np.float32))
 
 
 def test_resize_constant_map_stays_constant():
@@ -113,6 +123,29 @@ def test_resize_respects_min_max():
         out = resize_array(arr, 9, 7)
         assert out.min() >= arr.min() - 1e-12
         assert out.max() <= arr.max() + 1e-12
+
+
+def _tensordot_resize(arr, out_h, out_w):
+    """resize_array as it was before the two GEMMs: computed in float64 by two
+    tensordots and a transposing copy, cast back; the reference below."""
+    rh = interp_matrix(arr.shape[0], out_h)
+    rw = interp_matrix(arr.shape[1], out_w)
+    tmp = np.tensordot(rh, arr.astype(np.float64, copy=False), axes=(1, 0))
+    out = np.tensordot(tmp, rw, axes=(1, 1))          # (out_h, C, out_w)
+    return np.moveaxis(out, 2, 1).astype(arr.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resize_within_rounding_of_tensordot(dtype):
+    rng = np.random.default_rng(23)
+    for shape, out_h, out_w in resize_cases(29):
+        arr = rng.standard_normal(shape).astype(dtype)
+        out = resize_array(arr, out_h, out_w)
+        assert out.shape == (out_h, out_w, shape[2]) and out.dtype == dtype
+        abs_terms, taps = separable_terms(arr, interp_matrix(shape[0], out_h),
+                                          interp_matrix(shape[1], out_w))
+        assert_within_rounding(out, _tensordot_resize(arr, out_h, out_w), abs_terms,
+                               two_pass_roundings(taps, dtype), dtype)
 
 
 def test_resize_rejects_bad_output():
