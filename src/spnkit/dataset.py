@@ -241,6 +241,9 @@ def read_manifest(root) -> tuple[dict, dict]:
     if not (classes.isdecimal() and 2 <= int(classes) <= MAX_CLASSES):
         raise FormatError(f"manifest classes must be an integer in "
                           f"[2, {MAX_CLASSES}], got {classes!r}")
+    for split in ("train", "val"):
+        if not any(parts[0] == split for parts in items.values()):
+            raise FormatError(f"manifest has no {split} items")
     return meta, items
 
 

@@ -169,9 +169,10 @@ def read_key_values(path, error: type) -> list:
     """Read a `key=value` text file as (line number, key, value) triples.
 
     Blank lines and lines starting with '#' are skipped; keys and values are
-    stripped. Any other line without '=' raises `error` naming its number.
+    stripped. Any other line without '=' raises `error` naming its number,
+    and a repeated key raises it naming both numbers.
     """
-    out = []
+    out, first = [], {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -179,7 +180,12 @@ def read_key_values(path, error: type) -> list:
         key, sep, value = line.partition("=")
         if not sep:
             raise error(f"{path}: line {ln} is not key=value: {line!r}")
-        out.append((ln, key.strip(), value.strip()))
+        key = key.strip()
+        if key in first:
+            raise error(f"{path}: line {ln} repeats key {key!r} "
+                        f"(first on line {first[key]})")
+        first[key] = ln
+        out.append((ln, key, value.strip()))
     return out
 
 

@@ -24,14 +24,15 @@ batch.
 
 `train` spreads each batch's samples, and each epoch's validation samples,
 over one process per allowed core: this process takes the first share and
-workers forked before any data loads take the rest. A worker inherits
-nothing it reads: each request carries the function, the parameters, the
-architecture and that worker's share of the samples, and per-sample results
-come back. The batch's gradients are summed here in batch order, so the
-results do not depend on the number of processes. While `train` runs, the
-loaded OpenBLAS is held to one thread per process; where that cannot be
-done, there is no `fork`, or other Python threads run, training stays in
-this process.
+the workers of a `ProcessPoolExecutor`, forked before any data loads, take
+the rest. A worker inherits nothing it reads: each request carries the
+function, the parameters, the architecture and that worker's share of the
+samples, and per-sample results come back. The batch's gradients are summed
+here in batch order, so the results do not depend on the number of
+processes. While `train` runs with workers, the executor's manager and queue
+feeder threads run in this process. While `train` runs, the loaded OpenBLAS
+is held to one thread per process; where that cannot be done, there is no
+`fork`, or other Python threads run, training stays in this process.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ import os
 import signal
 import threading
 import time
-import traceback
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -402,10 +403,6 @@ def _process_count(workers, batch: int, blas_pinned: bool) -> int:
     return min(workers, batch)
 
 
-class _WorkerTraceback(Exception):
-    """The traceback of an exception raised in a worker, as its cause."""
-
-
 class _SamplePool:
     """Maps a per-sample function over this process and `processes - 1`
     forked workers. Each request carries everything the function reads, so
@@ -413,86 +410,67 @@ class _SamplePool:
     stops the workers."""
 
     def __init__(self, processes: int):
-        self.conns, self.procs = [], []
-        try:
-            for _ in range(processes - 1):
-                ctx = multiprocessing.get_context("fork")  # absent on some platforms
-                here, there = ctx.Pipe()
-                proc = ctx.Process(target=_serve, daemon=True,
-                                   args=(there, self.conns + [here]))
-                proc.start()
-                there.close()
-                self.conns.append(here)
-                self.procs.append(proc)
-        except BaseException:
-            self.close()
-            raise
+        self.executor = None
+        self.workers = processes - 1
+        if self.workers:
+            self.executor = ProcessPoolExecutor(
+                self.workers, multiprocessing.get_context("fork"),
+                initializer=_start_worker)
+            try:
+                # the executor forks at its first request: make it fork now,
+                # before the caller loads data, so fewer heap pages are
+                # shared copy-on-write and fault when the caller writes them
+                self.executor.submit(int).result()
+            except BaseException:
+                # a failed fork leaves the workers forked before it waiting
+                # for requests that no manager thread will send
+                for proc in self.executor._processes.values():
+                    proc.terminate()
+                    proc.join()
+                self.executor.shutdown()
+                raise
 
     def map(self, fn, params, arch, samples, *args) -> list:
         """[fn(params, arch, s, *args) for s in samples], each process
         taking one contiguous share."""
-        shares = np.array_split(np.arange(len(samples)), len(self.conns) + 1)
+        shares = np.array_split(np.arange(len(samples)), self.workers + 1)
         shares = [[samples[i] for i in share] for share in shares]
-        busy = [(conn, share) for conn, share in zip(self.conns, shares[1:]) if share]
-        for conn, share in busy:
-            conn.send((fn, params, arch, share, args))
-        results = [fn(params, arch, s, *args) for s in shares[0]]
-        for conn, _ in busy:
-            results += _receive(conn)
+        futures = [self.executor.submit(_map_share, fn, params, arch, share, args)
+                   for share in shares[1:] if share]
+        results = _map_share(fn, params, arch, shares[0], args)
+        try:
+            for future in futures:  # a worker's exception is re-raised here
+                results += future.result()
+        except BrokenExecutor:  # the pool saw a worker die
+            raise RuntimeError("a training worker exited without replying") from None
         return results
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        for conn in self.conns:
-            try:
-                conn.send(None)
-            except OSError:  # the worker is gone already
-                pass
-            conn.close()
-        for proc in self.procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
+        if self.executor is not None:
+            self.executor.shutdown(cancel_futures=True)
 
 
-def _receive(conn) -> list:
-    try:
-        reply = conn.recv()
-    except EOFError:
-        raise RuntimeError("a training worker exited without replying") from None
-    if reply[0] == "raised":
-        raise reply[1] from _WorkerTraceback(reply[2])
-    return reply[1]
+def _map_share(fn, params, arch, share, args) -> list:
+    return [fn(params, arch, s, *args) for s in share]
 
 
-def _serve(conn, inherited) -> None:
-    """A worker's loop: answer `_SamplePool.map` shares until told to stop
-    or the pool is gone."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
-    for other in inherited:  # so that a closed pool reads as EOF here
-        other.close()
-    while True:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            return
-        if request is None:
-            return
-        fn, params, arch, share, args = request
-        try:
-            reply = ("done", [fn(params, arch, s, *args) for s in share])
-        except Exception as e:  # re-raised by the parent
-            reply = ("raised", e, traceback.format_exc())
-        try:
-            conn.send(reply)
-        except OSError:
-            return
+PR_SET_PDEATHSIG = 1  # Linux <sys/prctl.h>
+
+
+def _start_worker() -> None:
+    """Leave ^C to the parent, and end with it: a worker whose parent was
+    killed would wait on the executor's queue forever. The death signal is
+    Linux's; elsewhere only the check below runs."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != multiprocessing.parent_process().pid:
+        os._exit(1)  # the parent died before the signal was set
 
 
 def train(config: TrainConfig, data_dir, out_dir, progress=None, *,

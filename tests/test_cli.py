@@ -204,6 +204,20 @@ def test_bad_config_file_exit_2(capsys, tmp_path):
     assert "bogus_key" in err
 
 
+def test_config_repeated_key_exit_2(capsys, tmp_path):
+    # a repeated key used to take the last value: two epochs ran, exit 0
+    ds = tmp_path / "ds"
+    gen_toy_dataset(ds, n_train=2, n_val=1, size=16, classes=2, seed=0,
+                    coarse_factor=4)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("epochs=1\nbatch=2\nepochs=2\n")
+    rc, out, err = run(capsys, "train", "--data", str(ds), "--out",
+                       str(tmp_path / "run"), "--config", str(cfg))
+    assert rc == 2
+    assert err == f"error: {cfg}: line 3 repeats key 'epochs' (first on line 1)\n"
+    assert out == "" and not (tmp_path / "run").exists()
+
+
 def test_train_flags_reach_config():
     from spnkit.cli import _build_config, build_parser
     from spnkit.training import TrainConfig
@@ -490,6 +504,33 @@ def test_repeated_item_index_exit_2(capsys, trained, tmp_path, command):
     assert rc == 2
     assert (f"manifest line {first + 1} repeats item index 0 "
             f"(first on line {first})") in err
+
+
+@pytest.mark.parametrize("command,split", [
+    ("train", "val"), ("train", "train"), ("eval", "val"), ("eval", "train"),
+], ids=["train-no-val", "train-no-train", "eval-no-val", "eval-no-train"])
+def test_empty_split_exit_2(capsys, trained, tmp_path, command, split):
+    # without val items train died in an IndexError, without train items it
+    # saved untrained checkpoints, and eval printed IoU 0.0000; all exited 0
+    # but the first
+    import shutil
+    ds_dir, out_dir = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(ds_dir, ds)
+    manifest = ds / "manifest.txt"
+    lines = [line for line in manifest.read_text().splitlines()
+             if not line.startswith("item.") or line.split("=")[1].split(",")[0] != split]
+    manifest.write_text("\n".join(lines) + "\n")
+    argv = {"train": ["train", "--data", str(ds), "--out", str(tmp_path / "run"),
+                      "--epochs", "1", "--prop-channels", "3", "--widths", "3,4,5",
+                      "--units", "1"],
+            "eval": ["eval", "--checkpoint", str(out_dir / "best"), "--data", str(ds),
+                     "--split", split],
+            }[command]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err == f"error: manifest has no {split} items\n"
+    assert "IoU" not in out and not (tmp_path / "run" / "last").exists()
 
 
 @pytest.mark.parametrize("flag,value,key", [

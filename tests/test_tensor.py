@@ -310,6 +310,19 @@ def test_key_value_grammar(tmp_path, case):
         load()
 
 
+@pytest.mark.parametrize("case", [_config_case, _checkpoint_case, _dataset_case],
+                         ids=["config", "checkpoint", "dataset"])
+def test_key_value_repeated_key(tmp_path, case):
+    # no writer repeats a key, so a repeat is an edit that one copy would hide
+    text_path, load, error = case(tmp_path / "f")
+    lines = text_path.read_text().splitlines()
+    text_path.write_text("\n".join([*lines, lines[0]]) + "\n")
+    key = lines[0].partition("=")[0]
+    with pytest.raises(error, match=rf"line {len(lines) + 1} repeats key '{key}' "
+                                    rf"\(first on line 1\)"):
+        load()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_flush_subnormals_zeroes_only_subnormals(dtype):
     tiny = np.finfo(dtype).tiny

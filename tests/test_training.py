@@ -1,8 +1,12 @@
 import csv
+import errno
 import io
 import multiprocessing
 import os
 import shutil
+import signal
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +410,60 @@ def test_train_raises_when_a_worker_dies(tiny_dataset, tmp_path, monkeypatch):
     _in_workers_only(monkeypatch, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="worker exited without replying"):
         train(tiny_config(), tiny_dataset, tmp_path / "run", workers=2)
+
+
+@needs_workers
+def test_pool_stops_its_workers_when_a_fork_fails(monkeypatch):
+    # the second of two forks fails: the worker forked first must not be left
+    # waiting for requests, which would also hang this process at exit
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "no more processes")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="no more processes"):
+        training._SamplePool(3)
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_workers
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux's")
+def test_pool_workers_end_with_their_parent():
+    # a parent killed without clean-up (SIGKILL, or SIGTERM unhandled) must
+    # not leave its workers waiting for requests
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe()
+
+    def parent():
+        with training._SamplePool(3):
+            there.send([p.pid for p in multiprocessing.active_children()])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    proc = ctx.Process(target=parent)
+    proc.start()
+    assert here.poll(30.0), "the pool did not start"
+    workers = here.recv()
+    proc.join(30.0)
+    assert not proc.is_alive() and len(workers) == 2
+    alive, deadline = workers, time.monotonic() + 10.0
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in workers if _running(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert not alive
 
 
 @needs_workers
