@@ -23,7 +23,7 @@ class ConfigError(SpnError, ValueError):
 
 
 class CheckpointError(SpnError, ValueError):
-    """Checkpoint directory is missing, inconsistent, or shape-mismatched."""
+    """A checkpoint file is malformed or inconsistent, or is a retired v1 directory."""
 
 
 class TrainingAborted(SpnError, RuntimeError):

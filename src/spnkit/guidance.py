@@ -15,7 +15,8 @@ buffer is built, and the phases, about one padded input, are the cache.
 """
 from __future__ import annotations
 
-import shutil
+import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -123,8 +124,8 @@ def conv3x3_backward(grad: np.ndarray, cache, need_dx: bool = True):
 
 
 def relu_forward(z: np.ndarray):
-    mask = z > 0
-    return np.where(mask, z, z.dtype.type(0)), mask
+    # fmax gives +0 for NaN and -0, as where(z > 0, z, 0) does; maximum keeps NaN
+    return np.fmax(z, 0), z > 0
 
 
 def relu_backward(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -203,7 +204,7 @@ class Architecture:
 
     @staticmethod
     def from_mapping(kv: dict) -> "Architecture":
-        """Every field from a checkpoint manifest's keys; other keys are ignored."""
+        """Every field from a checkpoint header's keys; other keys are ignored."""
         try:
             return Architecture(**{f.name: FIELD_PARSERS[f.type](kv[f.name])
                                    for f in fields(Architecture)})
@@ -326,74 +327,69 @@ def relu_signature(cache: dict) -> bytes:
     return b"".join(np.packbits(m.reshape(-1)).tobytes() for m in cache["masks"])
 
 
-def checkpoint_save(directory, arch: Architecture, params: dict,
+CHECKPOINT_FORMAT = "spn-checkpoint-v2"
+
+
+def reject_directory(*paths) -> None:
+    """Raise CheckpointError for a checkpoint path that is a directory, as v1 ones were."""
+    for path in paths:
+        if Path(path).is_dir():
+            raise CheckpointError(f"{path} is a directory, as spn-checkpoint-v1 checkpoints "
+                                  f"were; a checkpoint is now one {CHECKPOINT_FORMAT} file")
+
+
+def checkpoint_save(path, arch: Architecture, params: dict,
                     meta: dict | None = None) -> None:
-    """Write parameters (one tensor file each) plus a manifest.
-
-    The directory holds one checkpoint and nothing else. The files are
-    written into a sibling temporary directory, which then replaces
-    `directory` by two renames, so a failed save leaves the previous
-    checkpoint whole and removes the temporary directory. A crash between
-    the two renames leaves no `directory`, which loads as an error, never
-    as a mix of old and new parameters.
-    """
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    tmp, old = d.with_name(f".{d.name}.tmp"), d.with_name(f".{d.name}.old")
-    for leftover in (tmp, old):  # from a save that crashed
-        shutil.rmtree(leftover, ignore_errors=True)
-    tmp.mkdir()
+    """Write one file: `key=value` lines (format, architecture, sorted `meta.*`),
+    a NUL byte, and one flat tensor record of the parameters in sorted key
+    order, in one dtype, shaped by `param_shapes(arch)`. It is written as
+    `.<name>.tmp` and moved onto `path` by one `os.replace`, so `path` holds a
+    whole checkpoint, old or new, at every moment; a failed save removes `.<name>.tmp`."""
+    p = Path(path)
+    reject_directory(p)
+    shapes, dtype = param_shapes(arch), np.result_type(np.float32, *params.values())
+    bad = sorted(k for k in set(params) | set(shapes) if k not in shapes or k not in params
+                 or params[k].shape != shapes[k] or params[k].dtype != dtype)
+    if bad:  # missing, unexpected, mis-shaped, or of another dtype
+        raise CheckpointError(f"parameters {bad} do not match param_shapes(arch) in {dtype}")
+    lines = [f"format={CHECKPOINT_FORMAT}", *arch.to_lines(),
+             *(f"meta.{key}={value}" for key, value in sorted((meta or {}).items()))]
+    tmp = p.with_name(f".{p.name}.tmp")
     try:
-        lines = ["format=spn-checkpoint-v1"]
-        lines += arch.to_lines()
-        for key, value in sorted((meta or {}).items()):
-            lines.append(f"meta.{key}={value}")
-        for key in sorted(params):
-            fname = key.replace(".", "_") + ".spnt"
-            arr = params[key]
-            write_array(tmp / fname, arr if arr.ndim > 0 else arr[None])
-            lines.append(f"param.{key}={fname}")
-        (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
+        write_array(tmp, np.concatenate([params[key].ravel() for key in sorted(shapes)]),
+                    prefix=("\n".join(lines) + "\n\0").encode())
+        os.replace(tmp, p)
     except BaseException:
-        shutil.rmtree(tmp)
+        tmp.unlink(missing_ok=True)
         raise
-    d.rename(old)
-    tmp.rename(d)
-    shutil.rmtree(old)
 
 
-def checkpoint_load(directory):
-    """Read a checkpoint. Returns (arch, params, meta)."""
-    d = Path(directory)
-    mpath = d / "manifest.txt"
-    if not mpath.is_file():
-        raise CheckpointError(f"no manifest.txt under {d}")
-    kv, files, meta = {}, {}, {}
-    for _, key, value in read_key_values(mpath, CheckpointError):
-        if key.startswith("param."):
-            files[key[6:]] = value
-        elif key.startswith("meta."):
-            meta[key[5:]] = value
-        else:
-            kv[key] = value
-    if kv.get("format") != "spn-checkpoint-v1":
+def checkpoint_load(path):
+    """Read a checkpoint file. Returns (arch, params, meta); the parameters
+    are views into one array."""
+    p = Path(path)
+    reject_directory(p)
+    head, _, record = p.read_bytes().partition(b"\0")
+    kv = {key: value for _, key, value in
+          read_key_values(p, CheckpointError, head.decode(errors="replace"))}
+    meta = {key[5:]: value for key, value in kv.items() if key.startswith("meta.")}
+    if kv.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {kv.get('format')!r}")
     arch = Architecture.from_mapping(kv)
-    expected = param_shapes(arch)
-    if set(files) != set(expected):
-        missing = sorted(set(expected) - set(files))
-        extra = sorted(set(files) - set(expected))
-        raise CheckpointError(
-            f"parameter set mismatch: missing {missing}, unexpected {extra}")
-    params = {}
-    for key, fname in files.items():
-        try:
-            arr = read_array(d / fname)
-            require_finite(arr, key)
-        except (OSError, FormatError) as e:
-            raise CheckpointError(f"cannot read {key} from {fname}: {e}") from e
-        if arr.shape != expected[key]:
-            raise CheckpointError(
-                f"{key} shaped {arr.shape}, architecture needs {expected[key]}")
-        params[key] = arr
+    try:
+        flat = read_array(record)
+    except FormatError as e:
+        raise CheckpointError(f"{p}: parameter record at byte {len(head) + 1}: {e}") from e
+    shapes = param_shapes(arch)
+    need = sum(math.prod(shape) for shape in shapes.values())
+    if flat.shape != (need,):
+        raise CheckpointError(f"{p}: the parameters need {need * flat.itemsize} bytes "
+                              f"as one flat record, found {flat.nbytes} as {flat.shape}")
+    params, end = {}, 0
+    for key in sorted(shapes):
+        start, end = end, end + math.prod(shapes[key])
+        params[key] = flat[start:end].reshape(shapes[key])
+    if not np.isfinite(flat).all():  # name the parameter
+        for key, arr in params.items():
+            require_finite(arr, f"{p}: {key}", CheckpointError)
     return arch, params, meta

@@ -99,8 +99,8 @@ def resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.matmul(rw, tmp.reshape(out_h, w, c)).astype(arr.dtype, copy=False)
 
 
-def write_array(path, arr: np.ndarray) -> None:
-    """Write an array to the binary tensor container (bit-exact round trip)."""
+def write_array(path, arr: np.ndarray, prefix: bytes = b"") -> None:
+    """Write `prefix`, then the array as a tensor container record (bit-exact round trip)."""
     arr = np.ascontiguousarray(arr)
     code = _DTYPE_TO_CODE.get(arr.dtype)
     if code is None:
@@ -112,12 +112,12 @@ def write_array(path, arr: np.ndarray) -> None:
     header = _MAGIC + bytes([_VERSION, code, arr.ndim])
     dims = np.asarray(arr.shape, dtype="<u4").tobytes()
     payload = arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes()
-    Path(path).write_bytes(header + dims + payload)
+    Path(path).write_bytes(prefix + header + dims + payload)
 
 
-def read_array(path) -> np.ndarray:
-    """Read an array from the binary tensor container."""
-    data = Path(path).read_bytes()
+def read_array(source) -> np.ndarray:
+    """Read an array from the binary tensor container: a path, or one record's bytes."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     if len(data) < 4:
         raise FormatError(f"truncated header at byte {len(data)}: magic incomplete")
     if data[:4] != _MAGIC:
@@ -147,12 +147,12 @@ def read_array(path) -> np.ndarray:
     return arr.astype(dt.newbyteorder("="))
 
 
-def require_finite(arr: np.ndarray, what: str) -> None:
-    """Raise FormatError naming the first non-finite entry of `arr`, if any."""
+def require_finite(arr: np.ndarray, what: str, error: type = FormatError) -> None:
+    """Raise `error` naming the first non-finite entry of `arr`, if any."""
     bad = ~np.isfinite(arr)
     if bad.any():
         i = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise FormatError(f"{what} has a non-finite value {float(arr[i])} at index {i}")
+        raise error(f"{what} has a non-finite value {float(arr[i])} at index {i}")
 
 
 def flush_subnormals(a: np.ndarray) -> None:
@@ -165,15 +165,16 @@ def flush_subnormals(a: np.ndarray) -> None:
     a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
 
 
-def read_key_values(path, error: type) -> list:
-    """Read a `key=value` text file as (line number, key, value) triples.
+def read_key_values(path, error: type, text: str | None = None) -> list:
+    """Read the `key=value` lines of a file, or its `text`, as (line, key, value) triples.
 
     Blank lines and lines starting with '#' are skipped; keys and values are
     stripped. Any other line without '=' raises `error` naming its number,
     and a repeated key raises it naming both numbers.
     """
+    text = Path(path).read_text() if text is None else text
     out, first = [], {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -44,7 +44,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -65,6 +65,7 @@ from .guidance import (
     init_params,
     parse_kind,
     parse_widths,
+    reject_directory,
     relu_backward,
     relu_forward,
     relu_signature,
@@ -413,6 +414,7 @@ class _SamplePool:
         self.executor = None
         self.workers = processes - 1
         if self.workers:
+            from concurrent.futures import ProcessPoolExecutor  # ~1 MB RSS: imported only here
             self.executor = ProcessPoolExecutor(
                 self.workers, multiprocessing.get_context("fork"),
                 initializer=_start_worker)
@@ -480,6 +482,7 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None, *,
     `workers` overrides the process count, which is otherwise one per
     allowed core; the results do not depend on it."""
     out = Path(out_dir)
+    reject_directory(out / "best", out / "last")  # now, not after an epoch
     out.mkdir(parents=True, exist_ok=True)
     # forked before the data loads: requests carry all a worker reads
     with _one_blas_thread() as pinned, \

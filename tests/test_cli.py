@@ -13,6 +13,7 @@ import spnkit
 from spnkit import cli
 from spnkit.cli import main
 from spnkit.dataset import gen_toy_dataset, labels_to_map, map_to_labels
+from spnkit.guidance import checkpoint_load, checkpoint_save
 from spnkit.tensor import read_array, read_image_pnm, write_array, write_image_pnm
 
 
@@ -244,7 +245,7 @@ def test_missing_checkpoint_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "none"),
                      "--data", str(tmp_path / "none"))
     assert rc == 2
-    assert "manifest" in err
+    assert "No such file" in err and str(tmp_path / "none") in err
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +274,10 @@ def test_train_artifacts_and_config_echo(trained):
     text = (out_dir / "config.txt").read_text()
     assert "epochs=2" in text and "prop_channels=3" in text
     assert (out_dir / "metrics.csv").is_file()
-    assert (out_dir / "best" / "manifest.txt").is_file()
+    # one file per checkpoint, and no temporary file left beside them
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "best", "config.txt", "last", "metrics.csv"]
+    assert (out_dir / "best").is_file() and (out_dir / "last").is_file()
 
 
 def test_eval_runs(capsys, trained):
@@ -333,13 +337,11 @@ def test_refine_rejects_nonfinite_coarse(capsys, trained, tmp_path):
 
 
 def test_refine_rejects_nonfinite_checkpoint(capsys, trained, tmp_path):
-    import shutil
     _, out_dir = trained
     ck = tmp_path / "ck"
-    shutil.copytree(out_dir / "best", ck)
-    post_b = read_array(ck / "post_b.spnt")
-    post_b[1] = np.nan
-    write_array(ck / "post_b.spnt", post_b)
+    arch, params, meta = checkpoint_load(out_dir / "best")
+    params["post.b"][1] = np.nan
+    checkpoint_save(ck, arch, params, meta)
     rc, err, pred = _refine(capsys, trained, tmp_path, checkpoint=ck)
     assert rc == 2
     assert "post.b" in err and "non-finite" in err
@@ -588,12 +590,9 @@ def test_refine_restrict_uses_coarse_labels_only(capsys, trained, tmp_path):
 
 
 def test_eval_rejects_unknown_kind(capsys, trained, tmp_path):
-    import shutil
     ds_dir, out_dir = trained
     ck = tmp_path / "ck"
-    shutil.copytree(out_dir / "best", ck)
-    manifest = ck / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace("kind=three", "kind=two"))
+    ck.write_bytes((out_dir / "best").read_bytes().replace(b"kind=three", b"kind=two", 1))
     rc, _, err = run(capsys, "eval", "--checkpoint", str(ck), "--data", str(ds_dir))
     assert rc == 2
     assert "unknown kind 'two'" in err
@@ -625,6 +624,86 @@ for _ in range(6):
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(*faults)
 """
+
+
+def _v1_checkpoint(directory):
+    """A checkpoint in the retired layout: a manifest and one file per parameter."""
+    directory.mkdir(parents=True)
+    (directory / "manifest.txt").write_text("format=spn-checkpoint-v1\n")
+    write_array(directory / "post_b.spnt", np.zeros(2, dtype=np.float32))
+    return directory
+
+
+@pytest.mark.parametrize("command", ["refine", "eval"])
+def test_v1_checkpoint_directory_exit_2(capsys, trained, tmp_path, command):
+    ds_dir, _ = trained
+    ck = _v1_checkpoint(tmp_path / "best")
+    if command == "refine":
+        rc, err, pred = _refine(capsys, trained, tmp_path, checkpoint=ck)
+        assert not pred.exists()
+    else:
+        rc, _, err = run(capsys, "eval", "--checkpoint", str(ck), "--data", str(ds_dir))
+    assert rc == 2
+    assert err.startswith("error: ") and f"{ck} is a directory" in err
+    assert "spn-checkpoint-v1" in err and "spn-checkpoint-v2" in err
+
+
+def test_train_into_v1_run_directory_exit_2(capsys, trained, tmp_path):
+    # refused before any training, and nothing in the run directory changes
+    ds_dir, _ = trained
+    run_dir = tmp_path / "run"
+    for name in ("best", "last"):
+        _v1_checkpoint(run_dir / name)
+    rc, out, err = run(capsys, "train", "--data", str(ds_dir), "--out", str(run_dir),
+                       "--epochs", "1", "--prop-channels", "3", "--widths", "3,4,5")
+    assert rc == 2
+    assert err.startswith("error: ") and f"{run_dir / 'best'} is a directory" in err
+    assert "spn-checkpoint-v1" in err and "epoch" not in out
+    assert sorted(p.name for p in run_dir.iterdir()) == ["best", "last"]
+    assert sorted(p.name for p in (run_dir / "last").iterdir()) == [
+        "manifest.txt", "post_b.spnt"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_outputs_identical_from_resaved_checkpoint(capsys, trained, tmp_path, dtype):
+    from spnkit.training import TrainConfig, init_pipeline_params
+    config = TrainConfig(kind="one", prop_channels=3, widths="3,4,5", units=1)
+    arch = config.architecture(2)
+    params = init_pipeline_params(arch, np.random.default_rng(18), dtype=dtype)
+    for side in "ab":
+        (tmp_path / side).mkdir()
+    checkpoint_save(tmp_path / "a" / "ck", arch, params, {"epoch": 0})
+    loaded = checkpoint_load(tmp_path / "a" / "ck")
+    checkpoint_save(tmp_path / "b" / "ck", *loaded)
+    for side in "ab":
+        assert [p.name for p in (tmp_path / side).iterdir()] == ["ck"]
+    assert (tmp_path / "a" / "ck").read_bytes() == (tmp_path / "b" / "ck").read_bytes()
+    resaved = checkpoint_load(tmp_path / "b" / "ck")[1]
+    assert all(resaved[k].dtype == dtype and resaved[k].tobytes() == params[k].tobytes()
+               for k in params)
+    outputs = []
+    for side in "ab":
+        rc, err, pred = _refine(capsys, trained, tmp_path / side,
+                                checkpoint=tmp_path / side / "ck")
+        assert rc == 0, err
+        rc, out, err = run(capsys, "eval", "--checkpoint", str(tmp_path / side / "ck"),
+                           "--data", str(trained[0]))
+        assert rc == 0, err
+        outputs.append((pred.read_bytes(), out))
+    assert outputs[0] == outputs[1]
+
+
+def test_refine_imports_no_process_pool(tmp_path):
+    # the executor's module costs every command about 1 MB; only `train`
+    # with workers imports it. The refine script below runs in-process.
+    src = str(Path(spnkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = _REFINE_FAULTS + "print('concurrent.futures.process' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"
 
 
 def _libc_has_mallopt() -> bool:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from spnkit.guidance import (
     resize_forward,
 )
 from spnkit.propagation import ConnectionKind
-from spnkit.tensor import interp_matrix
+from spnkit.tensor import interp_matrix, read_array, write_array
 
 from rounding import assert_within_rounding, resize_cases, separable_terms, two_pass_roundings
 
@@ -202,6 +204,26 @@ def test_relu_backward():
     np.testing.assert_array_equal(relu_backward(np.ones(3), mask), [0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_forward_matches_where(dtype):
+    # the one-pass relu against the form it replaced, bit for bit, on the
+    # entries where max-like forms differ: np.maximum keeps NaN and fails
+    finfo = np.finfo(dtype)
+    sub = finfo.smallest_subnormal
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, sub, -sub,
+                        finfo.tiny / 2, -finfo.tiny / 2], dtype=dtype)
+    z = np.random.default_rng(17).standard_normal((6, 10, 5)).astype(dtype)
+    z[1, :, 2] = special
+    z[4, 3, :] = special[:5]
+    for view in (z, z[::2, 1::3], z.transpose(2, 0, 1)[:, ::-1], z[:, 4, ::2]):
+        out, mask = relu_forward(view)
+        want = np.where(view > 0, view, view.dtype.type(0))
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(mask, view > 0)
+    assert np.isnan(special).sum() == 2 and np.signbit(special[1])
+
+
 def test_resize_adjoint_dot_product():
     rng = np.random.default_rng(3)
     for _ in range(8):
@@ -345,43 +367,77 @@ def test_checkpoint_roundtrip(tmp_path):
         assert params2[k].tobytes() == params[k].tobytes()
 
 
+def _split_checkpoint(path):
+    """(header text, parameter record bytes) of a checkpoint file."""
+    head, sep, record = path.read_bytes().partition(b"\0")
+    assert sep == b"\0"
+    return head.decode(), record
+
+
+def _write_checkpoint(path, header, flat):
+    write_array(path, flat, prefix=header.encode() + b"\0")
+
+
+def _offset(arch, key):
+    """Where `key`'s values start in the flat parameter record."""
+    shapes = param_shapes(arch)
+    return sum(int(np.prod(shapes[k])) for k in sorted(shapes) if k < key)
+
+
 def test_checkpoint_manifest_text_pinned(tmp_path):
     arch = Architecture(image_channels=1, widths=(2, 3, 4), prop_channels=5,
                         classes=3, kind=ConnectionKind.ONE_WAY, scale=3, units=1)
     params = init_params(arch, np.random.default_rng(8))
     checkpoint_save(tmp_path / "ck", arch, params, meta={"val_iou": "0.5", "epoch": 4})
-    params_text = "".join(f"param.{n}.{p}={n}_{p}.spnt\n"
-                          for n in ("dec0", "dec1", "enc0", "enc1", "enc2", "head",
-                                    "post", "pre") for p in "bw")
-    assert (tmp_path / "ck" / "manifest.txt").read_text() == (
-        "format=spn-checkpoint-v1\nimage_channels=1\nwidths=2,3,4\n"
+    header, record = _split_checkpoint(tmp_path / "ck")
+    assert header == (
+        "format=spn-checkpoint-v2\nimage_channels=1\nwidths=2,3,4\n"
         "prop_channels=5\nclasses=3\nkind=one\nscale=3\nunits=1\n"
-        "meta.epoch=4\nmeta.val_iou=0.5\n" + params_text)
+        "meta.epoch=4\nmeta.val_iou=0.5\n")
+    # then one flat SPNT record (float32, rank 1): the parameters in key order
+    flat = np.concatenate([params[k].ravel() for k in sorted(params)])
+    assert record == (b"SPNT\x01\x01\x01" + np.array([flat.size], "<u4").tobytes()
+                      + flat.astype("<f4").tobytes())
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
     assert checkpoint_load(tmp_path / "ck")[0] == arch
 
 
 def test_checkpoint_missing_manifest(tmp_path):
-    with pytest.raises(CheckpointError, match="manifest"):
+    with pytest.raises(FileNotFoundError, match="nope"):
         checkpoint_load(tmp_path / "nope")
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
     arch = small_arch()
     params = init_params(arch, np.random.default_rng(10))
+    wrong = dict(params, **{"enc0.w": np.zeros((3, 3, 1, 4), dtype=np.float32)})
+    with pytest.raises(CheckpointError, match=r"\['enc0.w'\]"):
+        checkpoint_save(tmp_path / "ck", arch, wrong)
+    assert not list(tmp_path.iterdir())
+    # a header whose architecture disagrees with the record: enc0.w shrinks
     checkpoint_save(tmp_path / "ck", arch, params)
-    # overwrite one tensor with a wrong-shaped one
-    from spnkit.tensor import write_array
-    write_array(tmp_path / "ck" / "enc0_w.spnt", np.zeros((3, 3, 1, 4), dtype=np.float32))
-    with pytest.raises(CheckpointError, match="enc0.w"):
+    header, record = _split_checkpoint(tmp_path / "ck")
+    _write_checkpoint(tmp_path / "ck", header.replace("image_channels=3", "image_channels=2"),
+                      read_array(record))
+    found = sum(v.nbytes for v in params.values())
+    with pytest.raises(CheckpointError, match=f"need {found - 9 * 4 * 4} bytes as one "
+                                              f"flat record, found {found} as"):
         checkpoint_load(tmp_path / "ck")
 
 
 def test_checkpoint_missing_param_file(tmp_path):
     arch = small_arch()
     params = init_params(arch, np.random.default_rng(11))
+    with pytest.raises(CheckpointError, match=r"\['post.b'\]"):
+        checkpoint_save(tmp_path / "ck", arch,
+                        {k: v for k, v in params.items() if k != "post.b"})
+    # a well-formed record one parameter short: all but pre.w, the last
     checkpoint_save(tmp_path / "ck", arch, params)
-    (tmp_path / "ck" / "post_b.spnt").unlink()
-    with pytest.raises(CheckpointError, match="post.b"):
+    header, record = _split_checkpoint(tmp_path / "ck")
+    short = read_array(record)[:_offset(arch, "pre.w")]
+    _write_checkpoint(tmp_path / "ck", header, short)
+    with pytest.raises(CheckpointError, match=f"need {read_array(record).nbytes} bytes "
+                                              f"as one flat record, found {short.nbytes} as"):
         checkpoint_load(tmp_path / "ck")
 
 
@@ -390,20 +446,19 @@ def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
     arch = small_arch()
     old = init_params(arch, np.random.default_rng(12))
     checkpoint_save(tmp_path / "ck", arch, old, meta={"epoch": 1})
-    real_write, calls = guidance.write_array, []
+    calls = []
 
-    def failing_write(path, arr):
+    def failing_write(path, arr, prefix):  # part of the file, then the disk fills
         calls.append(path)
-        if len(calls) == 5:
-            raise OSError("disk full")
-        real_write(path, arr)
+        path.write_bytes(prefix + b"SPNT\x01")
+        raise OSError("disk full")
 
     monkeypatch.setattr(guidance, "write_array", failing_write)
     with pytest.raises(OSError, match="disk full"):
         checkpoint_save(tmp_path / "ck", arch,
                         init_params(arch, np.random.default_rng(13)), meta={"epoch": 2})
-    assert len(calls) == 5
-    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert len(calls) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]  # no .ck.tmp
     _, params, meta = checkpoint_load(tmp_path / "ck")
     assert meta == {"epoch": "1"}
     for k in old:
@@ -411,9 +466,38 @@ def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
 
 
 def test_checkpoint_load_rejects_nonfinite(tmp_path):
-    from spnkit.tensor import write_array
     arch = small_arch()
     checkpoint_save(tmp_path / "ck", arch, init_params(arch, np.random.default_rng(14)))
-    write_array(tmp_path / "ck" / "post_b.spnt", np.array([0.0, np.nan], dtype=np.float32))
-    with pytest.raises(CheckpointError, match=r"post\.b.*non-finite"):
+    header, record = _split_checkpoint(tmp_path / "ck")
+    flat = read_array(record)
+    flat[_offset(arch, "post.b") + 1] = np.nan
+    _write_checkpoint(tmp_path / "ck", header, flat)
+    with pytest.raises(CheckpointError, match=r"post\.b.*non-finite.*\(1,\)"):
         checkpoint_load(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("edit", ["truncated", "extra byte"])
+def test_checkpoint_payload_size_mismatch(tmp_path, edit):
+    arch = small_arch()
+    checkpoint_save(tmp_path / "ck", arch, init_params(arch, np.random.default_rng(15)))
+    data = (tmp_path / "ck").read_bytes()
+    (tmp_path / "ck").write_bytes(data[:-1] if edit == "truncated" else data + b"\0")
+    payload = sum(int(np.prod(s)) for s in param_shapes(arch).values()) * 4
+    found = payload - 1 if edit == "truncated" else payload + 1
+    with pytest.raises(CheckpointError,
+                       match=f"expected {payload} bytes, found {found}"):
+        checkpoint_load(tmp_path / "ck")
+
+
+def test_checkpoint_v1_directory_refused(tmp_path):
+    # the retired layout: a directory of a manifest and one file per parameter
+    arch = small_arch()
+    v1 = tmp_path / "best"
+    v1.mkdir()
+    (v1 / "manifest.txt").write_text("format=spn-checkpoint-v1\n")
+    with pytest.raises(CheckpointError, match=re.escape(f"{v1} is a directory, as "
+                                                        "spn-checkpoint-v1 checkpoints were")):
+        checkpoint_load(v1)
+    with pytest.raises(CheckpointError, match="spn-checkpoint-v1"):
+        checkpoint_save(v1, arch, init_params(arch, np.random.default_rng(16)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best"]

@@ -278,6 +278,21 @@ def _config_case(path):
     return path, lambda: TrainConfig.from_file(path), ConfigError
 
 
+class _CheckpointHeader:
+    """The text header of a one-file checkpoint, read and rewritten in place
+    in front of its parameter record."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def read_text(self):
+        return self.path.read_bytes().partition(b"\0")[0].decode()
+
+    def write_text(self, text):
+        record = self.path.read_bytes().partition(b"\0")[2]
+        self.path.write_bytes(text.encode() + b"\0" + record)
+
+
 def _checkpoint_case(path):
     from spnkit.guidance import Architecture, checkpoint_load, checkpoint_save, init_params
     arch = Architecture(widths=(2, 3, 4), prop_channels=2)
@@ -287,7 +302,7 @@ def _checkpoint_case(path):
     def load():
         arch, params, meta = checkpoint_load(path)
         return arch, {k: v.tobytes() for k, v in params.items()}, meta
-    return path / "manifest.txt", load, CheckpointError
+    return _CheckpointHeader(path), load, CheckpointError
 
 
 def _dataset_case(path):
