@@ -342,7 +342,7 @@ def checkpoint_save(path, arch: Architecture, params: dict,
                     meta: dict | None = None) -> None:
     """Write one file: `key=value` lines (format, architecture, sorted `meta.*`),
     a NUL byte, and one flat tensor record of the parameters in sorted key
-    order, in one dtype, shaped by `param_shapes(arch)`. It is written as
+    order, in one dtype, shaped by `param_shapes(arch)`. It is written and fsynced as
     `.<name>.tmp` and moved onto `path` by one `os.replace`, so `path` holds a
     whole checkpoint, old or new, at every moment; a failed save removes `.<name>.tmp`."""
     p = Path(path)
@@ -358,6 +358,8 @@ def checkpoint_save(path, arch: Architecture, params: dict,
     try:
         write_array(tmp, np.concatenate([params[key].ravel() for key in sorted(shapes)]),
                     prefix=("\n".join(lines) + "\n\0").encode())
+        with open(tmp, "rb") as fh:  # the data reaches the disk before the rename
+            os.fsync(fh.fileno())
         os.replace(tmp, p)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -371,7 +373,7 @@ def checkpoint_load(path):
     reject_directory(p)
     head, _, record = p.read_bytes().partition(b"\0")
     kv = {key: value for _, key, value in
-          read_key_values(p, CheckpointError, head.decode(errors="replace"))}
+          read_key_values(p, CheckpointError, head)}
     meta = {key[5:]: value for key, value in kv.items() if key.startswith("meta.")}
     if kv.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {kv.get('format')!r}")

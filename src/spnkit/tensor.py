@@ -165,14 +165,18 @@ def flush_subnormals(a: np.ndarray) -> None:
     a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
 
 
-def read_key_values(path, error: type, text: str | None = None) -> list:
-    """Read the `key=value` lines of a file, or its `text`, as (line, key, value) triples.
+def read_key_values(path, error: type, data: bytes | None = None) -> list:
+    """Read the `key=value` lines of a file, or its `data`, as (line, key, value) triples.
 
     Blank lines and lines starting with '#' are skipped; keys and values are
-    stripped. Any other line without '=' raises `error` naming its number,
-    and a repeated key raises it naming both numbers.
+    stripped. `error` names the offset of a byte that is not UTF-8 (whatever
+    the locale), the number of any other line without '=', or both numbers
+    of a repeated key.
     """
-    text = Path(path).read_text() if text is None else text
+    try:
+        text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: byte {e.start} is not UTF-8 text") from None
     out, first = [], {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()

@@ -26,13 +26,16 @@ batch.
 over one process per allowed core: this process takes the first share and
 the workers of a `ProcessPoolExecutor`, forked before any data loads, take
 the rest. A worker inherits nothing it reads: each request carries the
-function, the parameters, the architecture and that worker's share of the
-samples, and per-sample results come back. The batch's gradients are summed
-here in batch order, so the results do not depend on the number of
-processes. While `train` runs with workers, the executor's manager and queue
-feeder threads run in this process. While `train` runs, the loaded OpenBLAS
-is held to one thread per process; where that cannot be done, there is no
-`fork`, or other Python threads run, training stays in this process.
+function, its bound parameters and architecture, and that worker's share of
+the samples. Results and failures come back as the executor carries them: a
+worker's exception, `TrainingAborted` included, is raised here with the
+worker's traceback as its `__cause__`, and a dead worker raises
+`BrokenProcessPool`. The batch's gradients are summed here in batch order,
+so the results do not depend on the number of processes. With workers, the
+executor's manager and queue feeder threads run in this process. While
+`train` runs, the loaded OpenBLAS is held to one thread per process; where
+that cannot be done, there is no `fork`, or other Python threads run,
+training stays in this process.
 """
 from __future__ import annotations
 
@@ -44,7 +47,6 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -307,7 +309,7 @@ class TrainResult:
 METRIC_FIELDS = ("epoch", "loss", "val_iou", "gate_max_abs_sum", "is_best", "seconds")
 
 
-def _sample_iou(params, arch, sample, restrict: bool = False):
+def _sample_iou(params, arch, restrict: bool, sample):
     """Per-class (intersection, union) pixel counts of one prediction."""
     image, labels, coarse = sample
     allowed = np.unique(labels) if restrict else None
@@ -323,21 +325,22 @@ def evaluate(params, arch, samples, restrict: bool = False, pool=None) -> float:
     if pool is None:
         pool = _SamplePool(1)  # no workers: a serial loop
     acc = IoUAccumulator(arch.classes)
-    for inter, union in pool.map(_sample_iou, params, arch, samples, restrict):
+    for inter, union in pool.map(functools.partial(_sample_iou, params, arch, restrict),
+                                 samples):
         acc.inter += inter  # integer sums: the order does not matter
         acc.union += union
     return acc.mean()
 
 
 def _sample_step(params, arch, sample):
-    """One sample's (loss, gradients, None), or (loss, None, abort message)
-    when the loss is not finite."""
+    """One sample's (loss, gradients); raises `TrainingAborted` when the loss
+    is not finite."""
     image, labels, coarse = sample
     logits, cache = pipeline_forward(params, arch, image, coarse)
     loss, dlogits = softmax_xent(logits, labels)
     if not np.isfinite(loss):
-        return loss, None, _gate_abort_message(loss, cache["gates"], arch.kind)
-    return loss, pipeline_backward(dlogits, cache), None
+        raise TrainingAborted(_gate_abort_message(loss, cache["gates"], arch.kind))
+    return loss, pipeline_backward(dlogits, cache)
 
 
 # --- processes ------------------------------------------------------------
@@ -432,19 +435,16 @@ class _SamplePool:
                 self.executor.shutdown()
                 raise
 
-    def map(self, fn, params, arch, samples, *args) -> list:
-        """[fn(params, arch, s, *args) for s in samples], each process
-        taking one contiguous share."""
-        shares = np.array_split(np.arange(len(samples)), self.workers + 1)
-        shares = [[samples[i] for i in share] for share in shares]
-        futures = [self.executor.submit(_map_share, fn, params, arch, share, args)
+    def map(self, fn, items) -> list:
+        """[fn(item) for item in items], each process taking one contiguous
+        share; `fn` is pickled, its arguments bound by `functools.partial`."""
+        shares = np.array_split(np.arange(len(items)), self.workers + 1)
+        shares = [[items[i] for i in share] for share in shares]
+        futures = [self.executor.submit(_map_share, fn, share)
                    for share in shares[1:] if share]
-        results = _map_share(fn, params, arch, shares[0], args)
-        try:
-            for future in futures:  # a worker's exception is re-raised here
-                results += future.result()
-        except BrokenExecutor:  # the pool saw a worker die
-            raise RuntimeError("a training worker exited without replying") from None
+        results = _map_share(fn, shares[0])
+        for future in futures:  # a worker's exception is raised here
+            results += future.result()
         return results
 
     def __enter__(self):
@@ -455,8 +455,8 @@ class _SamplePool:
             self.executor.shutdown(cancel_futures=True)
 
 
-def _map_share(fn, params, arch, share, args) -> list:
-    return [fn(params, arch, s, *args) for s in share]
+def _map_share(fn, share) -> list:
+    return [fn(item) for item in share]
 
 
 PR_SET_PDEATHSIG = 1  # Linux <sys/prctl.h>
@@ -512,20 +512,13 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None, *,
                 losses = []
                 for start in range(0, len(order), config.batch):
                     batch = [train_samples[i] for i in order[start:start + config.batch]]
-                    steps = pool.map(_sample_step, params, arch, batch)
-                    grads = None
-                    batch_loss = 0.0
-                    for loss, g, abort in steps:  # batch order, as a serial loop
-                        if abort is not None:
-                            raise TrainingAborted(abort)
-                        batch_loss += loss
-                        if grads is None:
-                            grads = g
-                        else:
-                            for k in grads:
-                                grads[k] += g[k]
+                    steps = pool.map(functools.partial(_sample_step, params, arch), batch)
+                    grads = steps[0][1]
+                    for _, g in steps[1:]:  # batch order, as a serial loop
+                        for k in grads:
+                            grads[k] += g[k]
                     sgd_step(params, grads, velocity, config.lr, config.momentum)
-                    losses.append(batch_loss / len(steps))
+                    losses.append(sum(loss for loss, _ in steps) / len(steps))
 
                 # keep only the gates: caches held through `evaluate` below
                 # would raise the run's peak memory

@@ -219,6 +219,20 @@ def test_config_repeated_key_exit_2(capsys, tmp_path):
     assert out == "" and not (tmp_path / "run").exists()
 
 
+def test_config_not_utf8_exit_2(capsys, tmp_path):
+    # a 0xff byte used to end the run in a UnicodeDecodeError, exit 1
+    ds = tmp_path / "ds"
+    gen_toy_dataset(ds, n_train=2, n_val=1, size=16, classes=2, seed=0,
+                    coarse_factor=4)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"epochs=1\nbatch=\xff\n")
+    rc, out, err = run(capsys, "train", "--data", str(ds), "--out",
+                       str(tmp_path / "run"), "--config", str(cfg))
+    assert rc == 2
+    assert err == f"error: {cfg}: byte 15 is not UTF-8 text\n"
+    assert out == "" and not (tmp_path / "run").exists()
+
+
 def test_train_flags_reach_config():
     from spnkit.cli import _build_config, build_parser
     from spnkit.training import TrainConfig
@@ -438,6 +452,20 @@ def test_gen_data_check_rejects_malformed_item_index(capsys, trained, tmp_path):
     rc, _, err = run(capsys, "gen-data", "--out", str(ds), "--check")
     assert rc == 2
     assert f"line {ln}" in err
+
+
+def test_gen_data_check_rejects_a_manifest_not_utf8(capsys, trained, tmp_path):
+    # a 0xff byte used to end the check in a UnicodeDecodeError, exit 1
+    import shutil
+    ds_dir, _ = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(ds_dir, ds)
+    manifest = ds / "manifest.txt"
+    data = manifest.read_bytes()
+    manifest.write_bytes(data + b"# \xff\n")
+    rc, _, err = run(capsys, "gen-data", "--out", str(ds), "--check")
+    assert rc == 2
+    assert err == f"error: {manifest}: byte {len(data) + 2} is not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("command,bad", [

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -463,6 +464,39 @@ def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
     assert meta == {"epoch": "1"}
     for k in old:
         assert params[k].tobytes() == old[k].tobytes()
+
+
+def test_checkpoint_save_syncs_before_the_rename(tmp_path, monkeypatch):
+    # unsynced, the renamed file's data may not be on disk after a power loss
+    calls, real_fsync, real_replace = [], os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    arch = small_arch()
+    checkpoint_save(tmp_path / "ck", arch, init_params(arch, np.random.default_rng(17)))
+    inode = (tmp_path / "ck").stat().st_ino  # the temporary file's, renamed
+    assert calls == [("fsync", inode), ("replace", inode)]
+
+
+def test_checkpoint_header_not_utf8(tmp_path):
+    # a bad header byte used to load as U+FFFD
+    arch = small_arch()
+    checkpoint_save(tmp_path / "ck", arch, init_params(arch, np.random.default_rng(18)),
+                    meta={"note": "x"})
+    data = (tmp_path / "ck").read_bytes()
+    at = data.index(b"meta.note=x") + len("meta.note=")
+    (tmp_path / "ck").write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{tmp_path / 'ck'}: byte {at} is not UTF-8 text")):
+        checkpoint_load(tmp_path / "ck")
 
 
 def test_checkpoint_load_rejects_nonfinite(tmp_path):

@@ -7,6 +7,7 @@ import shutil
 import signal
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -408,8 +409,25 @@ def test_train_reraises_a_worker_exception(tiny_dataset, tmp_path, monkeypatch):
 @needs_workers
 def test_train_raises_when_a_worker_dies(tiny_dataset, tmp_path, monkeypatch):
     _in_workers_only(monkeypatch, lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match="worker exited without replying"):
+    with pytest.raises(BrokenProcessPool):
         train(tiny_config(), tiny_dataset, tmp_path / "run", workers=2)
+
+
+@needs_workers
+def test_train_abort_in_a_worker_carries_its_traceback(tiny_dataset, tmp_path,
+                                                      monkeypatch):
+    # a non-finite loss in the worker's share only: the abort is raised in the
+    # worker and arrives here as any worker exception does
+    parent, real_forward = os.getpid(), training.pipeline_forward
+
+    def forward(params, arch, image, coarse):
+        logits, cache = real_forward(params, arch, image, coarse)
+        return (logits * np.nan if os.getpid() != parent else logits), cache
+
+    monkeypatch.setattr(training, "pipeline_forward", forward)
+    with pytest.raises(TrainingAborted, match="non-finite loss nan") as info:
+        train(tiny_config(), tiny_dataset, tmp_path / "run", workers=2)
+    assert "in _sample_step" in str(info.value.__cause__)  # the worker's traceback
 
 
 @needs_workers
