@@ -15,6 +15,7 @@ buffer is built, and the phases, about one padded input, are the cache.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -25,10 +26,11 @@ import numpy as np
 from .errors import (CheckpointError, ConfigError, DimensionError, FormatError,
                      require_at_least)
 from .propagation import KIND_NAMES, NAME_TO_KIND, ConnectionKind
-from .tensor import (interp_matrix, read_array, read_key_values, require_finite,
-                     resize_array, work_dtype, write_array)
+from .tensor import (interp_matrix, keep_where, read_array, read_key_values,
+                     require_finite, resize_array, work_dtype, write_array)
 
 
+@functools.lru_cache(maxsize=128)
 def _phase_layout(x_shape, stride: int):
     """Where a 3x3, pad-1 conv at `stride` finds its taps.
 
@@ -40,17 +42,18 @@ def _phase_layout(x_shape, stride: int):
     which the last wq - wo are spare (they wrap into the next row) and are
     dropped. The spare phase row at the bottom keeps the last slice in bounds.
 
-    Returns (ho, wo, wq, phase_shape, taps, places): `taps` lists
-    (dy, dx, py, px, off); `places` lists (py, px, phase index, input index),
-    the block of the input each phase holds and where.
+    Returns (ho, wo, wq, phase_shape, taps, places): `taps` holds
+    (dy, dx, py, px, off); `places` holds (py, px, phase index, input index),
+    the block of the input each phase holds and where. Results are cached
+    per shape and stride, as tuples.
     """
     h, wd, cin = x_shape
     s = stride
     ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
     wq = wo + 2 // s
     phase_shape = (s, s, ho + 2 // s + 1, wq, cin)
-    taps = [(dy, dx, dy % s, dx % s, (dy // s) * wq + dx // s)
-            for dy in range(3) for dx in range(3)]
+    taps = tuple((dy, dx, dy % s, dx % s, (dy // s) * wq + dx // s)
+                 for dy in range(3) for dx in range(3))
     places = []
     for py in range(s):
         for px in range(s):
@@ -59,7 +62,7 @@ def _phase_layout(x_shape, stride: int):
             ny, nx = len(range(ay, h, s)), len(range(ax, wd, s))
             places.append((py, px, (slice(r0, r0 + ny), slice(c0, c0 + nx)),
                            (slice(ay, None, s), slice(ax, None, s))))
-    return ho, wo, wq, phase_shape, taps, places
+    return ho, wo, wq, phase_shape, taps, tuple(places)
 
 
 def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
@@ -129,7 +132,7 @@ def relu_forward(z: np.ndarray):
 
 
 def relu_backward(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.where(mask, grad, grad.dtype.type(0))
+    return keep_where(grad, mask)  # the bits of np.where(mask, grad, 0)
 
 
 def resize_forward(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

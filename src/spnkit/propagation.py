@@ -32,13 +32,18 @@ direction would, so the results equal it exactly (a zero gradient entry may
 at most change sign, and a NaN may carry either sign: numpy's vectorised
 loops set it by an element's place in the loop).
 
-The reverse pass keeps each stack's gate gradient in the stack's layout,
-shaped like its gates, through all units: every unit adds its part with one
-subtract, multiply and add per slot over the whole stack. The result is
-written to the (H, W, C, 4, K) grid once, after the last unit; there the
-slot and direction axes are innermost, so a write per unit would be a
-strided one. The pinned gates' gradients are then set to zero: they are not
-free parameters, and in the stack they read across block edges.
+The reverse pass routes the max pool's gradient straight into each stack:
+a direction's block is one multiply of the gradient's bits, as unsigned
+integers, by the mask of the nodes that direction won, so every routed bit,
+NaN and -0 included, is the gradient's own and the others are +0, with no
+(4, H, W, C) routed copy in between. It keeps each stack's gate gradient in
+the stack's layout, shaped like its gates, through all units: every unit
+adds its part with one subtract, multiply and add per slot over the whole
+stack. The result is written to the (H, W, C, 4, K) grid once, after the
+last unit; there the slot and direction axes are innermost, so a write per
+unit would be a strided one. The pinned gates' gradients are then set to
+zero: they are not free parameters, and in the stack they read across block
+edges.
 """
 from __future__ import annotations
 
@@ -48,6 +53,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .tensor import keep_where
 
 
 class Direction(IntEnum):
@@ -187,7 +193,7 @@ class ScanStack:
         self.directions = tuple(directions)
         steps, self.lines, channels, k = _step_major(gate_dirs[0], directions[0]).shape
         rows = self.rows(len(directions)).start  # where a next block would start
-        self.slots = np.zeros((k, steps, rows, channels), dtype=dtype)
+        self.slots = self._zero_separators(np.empty((k, steps, rows, channels), dtype=dtype))
         for b, (g, d) in enumerate(zip(gate_dirs, directions)):
             self.slots[:, :, self.rows(b)] = np.moveaxis(_step_major(g, d), -1, 0)
         self.coef = 1.0 - self.slots[0]
@@ -208,11 +214,29 @@ class ScanStack:
         """Every separator line of a three-way stack, as a row slice."""
         return slice(0, None, self.lines + 1)
 
+    def _zero_separators(self, arr: np.ndarray) -> np.ndarray:
+        """Zero the separator lines of (..., rows, C) `arr`; returns `arr`."""
+        if self.pad:
+            arr[..., self.separators, :] = 0
+        return arr
+
     def stack(self, grids) -> np.ndarray:
         """One (H, W, C) grid per direction, as a zero-separated (steps, rows, C) array."""
-        out = np.zeros_like(self.coef)
+        out = self._zero_separators(np.empty_like(self.coef))
         for b, (g, d) in enumerate(zip(grids, self.directions)):
             out[:, self.rows(b)] = _step_major(g, d)
+        return out
+
+    def route(self, grad: np.ndarray, winner: np.ndarray) -> np.ndarray:
+        """The max pool's gradient in this stack's layout: the block of
+        direction d holds (H, W, C) `grad`, every bit kept, where `winner`
+        is d, and +0 elsewhere (`keep_where`); separators are zero."""
+        out = self._zero_separators(np.empty_like(self.coef))
+        grad = grad.astype(out.dtype, copy=False)
+        mask = np.empty(grad.shape, dtype=bool)
+        for b, d in enumerate(self.directions):
+            np.equal(winner, d, out=mask)
+            keep_where(_step_major(grad, d), _step_major(mask, d), out=out[:, self.rows(b)])
         return out
 
     def unstack(self, arr: np.ndarray, grids) -> None:
@@ -380,13 +404,6 @@ def integrate_max(h_stack: np.ndarray):
     return out, winner
 
 
-def integrate_max_backward(grad: np.ndarray, winner: np.ndarray) -> np.ndarray:
-    """Route gradient to the winning direction only. Returns (4, H, W, C)."""
-    out = np.zeros((4,) + grad.shape, dtype=grad.dtype)
-    np.put_along_axis(out, winner[None], grad[None], axis=0)
-    return out
-
-
 @dataclass
 class UnitCache:
     """One propagation unit: a ScanCache per direction group, and the
@@ -427,14 +444,14 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
 def _unit_backward(unit: UnitCache, grad: np.ndarray, dslots: list) -> np.ndarray:
     """Reverse pass of one propagation unit; returns its input gradient.
 
-    Adds each direction group's gate gradient into its `dslots` entry. The
-    routed and stacked gradients die on return, before the next unit
-    allocates its own: `spn_backward`'s peak memory depends on it.
+    The max pool's gradient goes to each direction's block of its stack
+    directly (`ScanStack.route`). Adds each direction group's gate gradient
+    into its `dslots` entry. The stacked gradients die on return, before
+    the next unit allocates its own: `spn_backward`'s peak memory depends
+    on it.
     """
     stacks = [sc.stack for sc in unit.scans]
-    routed = integrate_max_backward(grad, unit.winner)
-    gs = [st.stack(routed[d] for d in st.directions) for st in stacks]
-    del routed
+    gs = [st.route(grad, unit.winner) for st in stacks]
     for sc, g, acc in zip(unit.scans, gs, dslots):
         _scan_backward(sc, g, acc)
     # ((d0 + d1) + d2) + d3, read straight from the directions' blocks

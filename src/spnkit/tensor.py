@@ -155,14 +155,30 @@ def require_finite(arr: np.ndarray, what: str, error: type = FormatError) -> Non
         raise error(f"{what} has a non-finite value {float(arr[i])} at index {i}")
 
 
+def keep_where(a: np.ndarray, mask: np.ndarray, out=None) -> np.ndarray:
+    """`a` where `mask` is true and +0 elsewhere: the bits of `np.where(mask,
+    a, 0)` for a float16, float32 or float64 array, in one multiply of `a`'s
+    bits, viewed as unsigned integers of its width, by the mask. A float
+    multiply would keep a masked NaN and turn a masked negative into -0.
+    `out`, if given, is a float array shaped and typed like `a`.
+    """
+    bits = np.dtype(f"u{a.itemsize}")
+    res = np.multiply(a.view(bits), mask, dtype=bits,
+                      out=None if out is None else out.view(bits))
+    return res.view(a.dtype)
+
+
 def flush_subnormals(a: np.ndarray) -> None:
-    """Zero, in place, the entries of a float array below its dtype's smallest
-    normal magnitude. NaN and inf are kept; a zero may lose its sign.
+    """Zero, in place, the entries of a float array whose exponent field is
+    0: its subnormals and -0, which becomes +0. NaN and inf are kept.
 
     Subnormal operands are slow on most CPUs (a microcode assist per
     operand), and a decaying scan can leave many of them behind.
     """
-    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
+    f = np.finfo(a.dtype)
+    bits = a.view(f"u{a.itemsize}")
+    exponent = bits.dtype.type(((1 << f.nexp) - 1) << f.nmant)
+    keep_where(a, (bits & exponent) != 0, out=a)
 
 
 def read_key_values(path, error: type, data: bytes | None = None) -> list:

@@ -8,8 +8,10 @@ upsampled to full resolution for a softmax cross-entropy loss.
 
 Gates pass through the stability rescaling every step, so scan transfer
 matrices keep spectral radius at most one no matter what the network emits;
-an epoch-level health check verifies that invariant on real data. A
-non-finite loss aborts the run with gate statistics in the error message.
+an epoch-level health check verifies that invariant on real data: on the
+gates that the validation pass builds for its first sample, before that
+epoch's checkpoints are written. A non-finite loss aborts the run with gate
+statistics in the error message.
 
 Where the relu zeroes the scan input, the scan state decays geometrically
 under small gates and falls below the smallest normal float within a few
@@ -149,7 +151,13 @@ class TrainConfig:
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Mean per-pixel cross entropy. Returns (loss, dlogits)."""
     z = logits.astype(np.float64)
-    z -= z.max(axis=2, keepdims=True)
+    # the row max as a fold over the class slices: exact, so the bits of
+    # z.max(axis=2) without its reduction over a short axis (a NaN row's
+    # sign aside, under a NaN loss)
+    top = z[:, :, 0].copy()
+    for c in range(1, z.shape[2]):
+        np.maximum(top, z[:, :, c], out=top)
+    z -= top[:, :, None]
     ez = np.exp(z)
     denom = ez.sum(axis=2, keepdims=True)
     logp = z - np.log(denom)
@@ -318,18 +326,35 @@ def _sample_iou(params, arch, restrict: bool, sample):
     return acc.inter, acc.union
 
 
+def _validation_sample(params, arch, item):
+    """`_sample_iou` of the unrestricted prediction of `item`, an (index,
+    sample) pair, plus, for index 0, the epoch's health check: the stability
+    report of the gates that prediction was made with."""
+    i, (image, labels, coarse) = item
+    logits, cache = pipeline_forward(params, arch, image, coarse)
+    acc = IoUAccumulator(arch.classes)
+    acc.update(logits.argmax(axis=2).astype(np.int32), labels)
+    health = verify_stability(cache["gates"], arch.kind) if i == 0 else None
+    return acc.inter, acc.union, health
+
+
+def _mean_iou(classes: int, counts) -> float:
+    """Mean IoU from per-sample (intersection, union, ...) counts."""
+    acc = IoUAccumulator(classes)
+    for inter, union, *_ in counts:
+        acc.inter += inter  # integer sums: the order does not matter
+        acc.union += union
+    return acc.mean()
+
+
 def evaluate(params, arch, samples, restrict: bool = False, pool=None) -> float:
     """Mean IoU over samples; with `restrict`, each sample is predicted
     among the labels of its own truth only. A `_SamplePool` spreads the
     samples over its processes."""
     if pool is None:
         pool = _SamplePool(1)  # no workers: a serial loop
-    acc = IoUAccumulator(arch.classes)
-    for inter, union in pool.map(functools.partial(_sample_iou, params, arch, restrict),
-                                 samples):
-        acc.inter += inter  # integer sums: the order does not matter
-        acc.union += union
-    return acc.mean()
+    return _mean_iou(arch.classes, pool.map(
+        functools.partial(_sample_iou, params, arch, restrict), samples))
 
 
 def _sample_step(params, arch, sample):
@@ -520,14 +545,12 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None, *,
                     sgd_step(params, grads, velocity, config.lr, config.momentum)
                     losses.append(sum(loss for loss, _ in steps) / len(steps))
 
-                # keep only the gates: caches held through `evaluate` below
-                # would raise the run's peak memory
-                gates = build_gates(params, arch, val_samples[0][0])[0]
-                health = verify_stability(gates, arch.kind)
+                counts = pool.map(functools.partial(_validation_sample, params, arch),
+                                  list(enumerate(val_samples)))
+                health = counts[0][2]  # from the first validation sample's gates
                 if not health.ok:
                     raise ContractError(f"gate projection failed to bound gates: {health}")
-
-                val_iou = evaluate(params, arch, val_samples, pool=pool)
+                val_iou = _mean_iou(classes, counts)
                 is_best = val_iou > best
                 if is_best:
                     best = val_iou

@@ -26,6 +26,7 @@ from spnkit.guidance import (
 from spnkit.propagation import ConnectionKind
 from spnkit.tensor import interp_matrix, read_array, write_array
 
+from bits import assert_same_bits, special_values
 from rounding import assert_within_rounding, resize_cases, separable_terms, two_pass_roundings
 
 
@@ -223,6 +224,35 @@ def test_relu_forward_matches_where(dtype):
         assert out.tobytes() == want.tobytes()
         np.testing.assert_array_equal(mask, view > 0)
     assert np.isnan(special).sum() == 2 and np.signbit(special[1])
+
+
+def where_relu_backward(grad, mask):
+    """The relu gradient as `np.where`: what `relu_backward` replaced."""
+    return np.where(mask, grad, grad.dtype.type(0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_matches_where(dtype):
+    # the integer-mask gradient against the form it replaced, bit for bit,
+    # on contiguous and strided views; a float multiply keeps a masked NaN
+    # and makes a masked negative -0, and fails
+    rng = np.random.default_rng(23)
+    grad = rng.standard_normal((6, 10, 5)).astype(dtype)
+    special = special_values(dtype)
+    grad[1, :len(special), 2] = special
+    grad[4, 3, :] = special[:5]
+    grad[2, :len(special), 0] = special
+    mask = rng.random(grad.shape) < 0.5
+    mask[1, :, 2] = np.arange(10) % 2 == 0
+    mask[2, :, 0] = np.arange(10) % 2 == 1
+    views = [(grad, mask), (grad[::2, 1::3], mask[::2, 1::3]),
+             (grad.transpose(2, 0, 1)[:, ::-1], mask.transpose(2, 0, 1)[:, ::-1]),
+             (grad[:, 4, ::2], mask[:, 4, ::2])]
+    for g, m in views:
+        assert_same_bits(relu_backward(g, m), where_relu_backward(g, m))
+    with pytest.raises(AssertionError, match="differ in their bits"), \
+         np.errstate(invalid="ignore"):
+        assert_same_bits(grad * mask, where_relu_backward(grad, mask))
 
 
 def test_resize_adjoint_dot_product():

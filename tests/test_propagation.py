@@ -16,8 +16,8 @@ from spnkit.propagation import (
     apply_boundary,
     boundary_mask,
     check_boundary_zeros,
+    ScanStack,
     integrate_max,
-    integrate_max_backward,
     propagate_direction,
     random_gates,
     spn_forward,
@@ -26,8 +26,18 @@ from spnkit.propagation import (
     zero_boundary,
 )
 
+from bits import assert_same_bits
+
 ONE = ConnectionKind.ONE_WAY
 THREE = ConnectionKind.THREE_WAY
+
+
+def integrate_max_backward(grad, winner):
+    """The max pool's gradient as a zeroed (4, H, W, C) array and a
+    `put_along_axis`: what `ScanStack.route` replaced, with `ScanStack.stack`."""
+    out = np.zeros((4,) + grad.shape, dtype=grad.dtype)
+    np.put_along_axis(out, winner[None], grad[None], axis=0)
+    return out
 
 
 def dir_gates(h, w, c, kind, fill=0.0, dtype=np.float64):
@@ -205,10 +215,14 @@ def test_integrate_max_tie_break():
 
 def test_integrate_max_backward_routes_single_winner():
     rng = np.random.default_rng(4)
-    stack = rng.standard_normal((4, 3, 3, 2))
-    out, winner = integrate_max(stack)
+    h_stack = rng.standard_normal((4, 3, 3, 2))
+    out, winner = integrate_max(h_stack)
     grad = rng.standard_normal(out.shape)
-    back = integrate_max_backward(grad, winner)
+    gates = random_gates(3, 3, 2, THREE, rng)
+    st = ScanStack([gates[:, :, :, d, :] for d in Direction], tuple(Direction),
+                   THREE, grad.dtype)
+    back = np.empty((4,) + grad.shape)
+    st.unstack(st.route(grad, winner), back)
     np.testing.assert_allclose(back.sum(axis=0), grad)
     assert (np.count_nonzero(back, axis=0) <= 1).all()
 
@@ -425,9 +439,8 @@ def _assert_matches_reference(x, gates, kind, units, check):
         assert np.array_equal(unit.winner, ref_winner)
     dx, dg = spn_backward(w, caches)
     ref_dx, ref_dg = ref_spn_backward(w, ref_caches, kind)
-    assert dx.dtype == ref_dx.dtype and dg.dtype == ref_dg.dtype
-    assert np.array_equal(dx, ref_dx)
-    assert np.array_equal(dg, ref_dg)
+    assert_same_bits(dx, ref_dx)
+    assert_same_bits(dg, ref_dg)
     return caches
 
 
@@ -560,14 +573,43 @@ def test_integrate_max_matches_argmax_reference(dtype):
         grad.flat[1::7] = -np.inf
         grad.flat[2::9] = np.nan
         back = integrate_max_backward(grad, winner)
-        assert back.dtype == dtype
-        assert np.array_equal(back, masked_integrate_max_backward(grad, ref_winner),
-                              equal_nan=True)
+        assert_same_bits(back, masked_integrate_max_backward(grad, ref_winner))
         # every entry, non-finite ones too, reaches its winner's direction only
         losers = np.arange(4)[:, None, None, None] != winner
         assert (back[losers] == 0.0).all()
         assert np.array_equal(np.take_along_axis(back, winner[None], axis=0)[0],
                               grad, equal_nan=True)
+
+
+@pytest.mark.parametrize("height,width", [(6, 6), (5, 8), (1, 1), (1, 4)])
+def test_routed_stack_matches_put_and_stack(height, width):
+    # the max pool's gradient written straight into each stack against a
+    # routed (4, H, W, C) array stacked after, bit for bit, with NaN, -0 and
+    # +-inf in the gradient; a float multiply by the win mask keeps NaN on
+    # the losing directions and gives -0 for a negative, and fails
+    rng = np.random.default_rng(37 + 10 * height + width)
+    for kind in (ONE, THREE):
+        for dtype in (np.float32, np.float64):
+            gates = random_gates(height, width, 3, kind, rng).astype(dtype)
+            _, caches = spn_forward(rng.standard_normal((height, width, 3)).astype(dtype),
+                                    gates, kind)
+            stacks = [sc.stack for sc in caches[0].scans]
+            assert len(stacks) == (1 if height == width else 2)
+            winner = rng.integers(0, 4, (height, width, 3)).astype(np.int8)
+            grad = rng.standard_normal(winner.shape).astype(dtype)
+            grad.flat[::3] = -0.0
+            grad.flat[1::5] = np.nan
+            grad.flat[2::7] = np.inf
+            grad.flat[3::11] = -np.inf
+            grad.flat[4::13] = -np.nan
+            routed = integrate_max_backward(grad, winner)
+            for st in stacks:
+                want = st.stack([routed[d] for d in st.directions])
+                assert_same_bits(st.route(grad, winner), want)
+                with pytest.raises(AssertionError, match="differ in their bits"), \
+                     np.errstate(invalid="ignore"):
+                    assert_same_bits(st.stack([grad * (winner == d) for d in st.directions]),
+                                     want)
 
 
 def scan_view_boundary_mask(height, width, kind):

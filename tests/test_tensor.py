@@ -14,6 +14,7 @@ from spnkit import (
 )
 from spnkit.tensor import flush_subnormals, interp_matrix, resize_array
 
+from bits import assert_same_bits, special_values
 from rounding import assert_within_rounding, resize_cases, separable_terms, two_pass_roundings
 
 
@@ -345,6 +346,33 @@ def test_flush_subnormals_zeroes_only_subnormals(dtype):
     a = np.array([tiny / 2, -tiny / 2, sub, -sub, tiny, -tiny, 1.5, -2.0, 0.0,
                   np.inf, -np.inf, np.nan], dtype=dtype)
     flush_subnormals(a)
-    np.testing.assert_array_equal(
-        a, np.array([0, 0, 0, 0, tiny, -tiny, 1.5, -2.0, 0.0,
-                     np.inf, -np.inf, np.nan], dtype=dtype))
+    assert_same_bits(a, np.array([0, 0, 0, 0, tiny, -tiny, 1.5, -2.0, 0.0,
+                                  np.inf, -np.inf, np.nan], dtype=dtype))
+
+
+def index_flush_subnormals(a):
+    """`np.abs` and a boolean-index assignment: what `flush_subnormals` replaced."""
+    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flush_subnormals_matches_index_assignment(dtype):
+    # the exponent-field flush against the form it replaced, bit for bit, in
+    # place on contiguous and strided views: -0 becomes +0, NaN keeps its
+    # sign; np.where(|a| < tiny, 0 * a, a) keeps -0 and fails
+    rng = np.random.default_rng(29)
+    base = rng.standard_normal((7, 9, 4)).astype(dtype)
+    base *= np.finfo(dtype).tiny * rng.choice([0.25, 1.0, 4.0], base.shape)
+    special = special_values(dtype)
+    base[1, :len(special), 2] = special
+    base[3, 2, :] = -special[:4]
+    views = [lambda a: a, lambda a: a[::2, 1::3], lambda a: a.transpose(2, 0, 1)[:, ::-1],
+             lambda a: a[:, 4, ::2]]
+    for view in views:
+        fast, slow = base.copy(), base.copy()
+        flush_subnormals(view(fast))
+        index_flush_subnormals(view(slow))
+        assert_same_bits(fast, slow)
+    with pytest.raises(AssertionError, match="differ in their bits"), \
+         np.errstate(invalid="ignore"):
+        assert_same_bits(np.where(np.abs(base) < np.finfo(dtype).tiny, 0 * base, base), slow)

@@ -15,10 +15,11 @@ import pytest
 
 import spnkit.training as training
 from spnkit.dataset import gen_toy_dataset, load_sample, load_split
-from spnkit.errors import ConfigError, FormatError, TrainingAborted
+from spnkit.errors import ConfigError, ContractError, FormatError, TrainingAborted
 from spnkit.fdcheck import check_gradient
 from spnkit.guidance import Architecture, checkpoint_load
 from spnkit.training import (
+    METRIC_FIELDS,
     IoUAccumulator,
     TrainConfig,
     coarse_iou,
@@ -33,6 +34,8 @@ from spnkit.training import (
     train,
 )
 from spnkit.tensor import read_image_pnm, write_image_pnm
+
+from bits import assert_same_bits
 
 
 def test_softmax_xent_uniform_logits():
@@ -61,6 +64,61 @@ def test_softmax_xent_grad_fd():
     res = check_gradient(lambda a: softmax_xent(a, labels)[0], logits, grad,
                          rng=rng, num=40)
     assert res.max_rel_err < 1e-7, str(res)
+
+
+def reduce_softmax_xent(logits, labels, class_sum=lambda ez: ez.sum(axis=2, keepdims=True)):
+    """The loss with the row max as a reduction: what `softmax_xent` replaced."""
+    z = logits.astype(np.float64)
+    z -= z.max(axis=2, keepdims=True)
+    ez = np.exp(z)
+    denom = class_sum(ez)
+    logp = z - np.log(denom)
+    n = labels.size
+    picked = np.take_along_axis(logp, labels[:, :, None].astype(np.intp), axis=2)
+    loss = -picked.sum() / n
+    grad = ez / denom
+    rows = np.arange(labels.shape[0])[:, None]
+    cols = np.arange(labels.shape[1])[None, :]
+    grad[rows, cols, labels] -= 1.0
+    grad /= n
+    return float(loss), grad.astype(logits.dtype)
+
+
+def in_order_class_sum(ez):
+    out = ez[:, :, :1].copy()
+    for c in range(1, ez.shape[2]):
+        out += ez[:, :, c:c + 1]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_xent_matches_reduction(dtype):
+    # the folded row max against the reduction it replaced, bit for bit,
+    # with ties, signed zeros, +-inf, NaN and large logits (a -NaN logit may
+    # give NaN gradients of the other sign, under a NaN loss that aborts
+    # training before they are used); adding the classes in
+    # order in place of the kept sum reduction differs from 8 classes on
+    # (seen in float64; the cast to float32 rounds it away here)
+    rng = np.random.default_rng(31)
+    near_miss = []
+    for classes in (2, 3, 7, 8, 9, 16):
+        logits = (rng.standard_normal((9, 11, classes)) * 4).astype(dtype)
+        logits[0, :, :] = 0.0
+        logits[0, ::2, 0] = -0.0
+        logits[1, :, 1:] = logits[1, :, :1]  # every class ties
+        logits[2, :, 0] = -np.inf
+        logits[3, :, :] += 3e4
+        logits[4, 0, 0] = np.nan  # the loss is NaN from here on
+        logits[5, 1, -1] = np.inf
+        labels = rng.integers(0, classes, size=logits.shape[:2]).astype(np.int32)
+        with np.errstate(invalid="ignore"):
+            loss, grad = softmax_xent(logits, labels)
+            want_loss, want_grad = reduce_softmax_xent(logits, labels)
+            fold_loss, fold_grad = reduce_softmax_xent(logits, labels, in_order_class_sum)
+        assert_same_bits(np.float64(loss), np.float64(want_loss))
+        assert_same_bits(grad, want_grad)
+        near_miss.append(fold_grad.tobytes() != want_grad.tobytes())
+    assert near_miss == ([False] * 3 + [dtype == np.float64] * 3)
 
 
 def test_sgd_step_frozen():
@@ -354,6 +412,25 @@ def test_train_aborts_at_a_bad_sample_in_a_worker_share(tiny_dataset, tmp_path,
             train(cfg, tiny_dataset, tmp_path / f"w{n}", workers=n)
         messages.append(str(info.value))
     assert messages[1] == messages[0]
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_train_health_check_fails_before_checkpoints(tiny_dataset, tmp_path, monkeypatch,
+                                                     processes):
+    # a projection that bounds nothing: every free gate 0.5, so a three-way
+    # row sums to 1.5; the first epoch's check must stop the run unsaved
+    def unbounded(gates, kind):
+        out = np.where(gates != 0, gates.dtype.type(0.5), gates)
+        return out, (out, out, 1.0, np.zeros(out.shape[:4], dtype=bool))
+
+    monkeypatch.setattr(training, "project_gates_cached", unbounded)
+    out = tmp_path / f"w{processes}"
+    with pytest.raises(ContractError, match="gate projection failed to bound gates: "
+                                            r"UNSTABLE: max \|gate\| row sum 1\.5 "):
+        train(tiny_config(), tiny_dataset, out, workers=processes)
+    assert not (out / "best").exists() and not (out / "last").exists()
+    with open(out / "metrics.csv") as fh:
+        assert list(csv.reader(fh)) == [list(METRIC_FIELDS)]  # no epoch finished
 
 
 def test_train_needs_no_in_place_parameter_update(tiny_dataset, tmp_path, monkeypatch):
