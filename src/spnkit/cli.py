@@ -369,11 +369,11 @@ def cmd_eval(args) -> int:
     train_idx, val_idx, meta = tr.load_split(args.data)
     idx = val_idx if args.split == "val" else train_idx
     classes = int(meta["classes"])
-    samples = [tr.load_sample(args.data, i, classes) for i in idx]
     if classes != arch.classes:
         raise DimensionError(
             f"checkpoint has {arch.classes} classes, dataset has {classes}")
-    refined = tr.evaluate(params, arch, samples, restrict=args.restrict)
+    samples = [tr.load_sample(args.data, i, classes) for i in idx]
+    refined, _ = tr.evaluate(params, arch, samples, restrict=args.restrict)
     base = tr.coarse_iou(samples, classes)
     print(f"samples: {len(samples)} ({args.split})")
     print(f"coarse IoU:  {base:.4f}")
@@ -414,9 +414,8 @@ def cmd_refine(args) -> int:
     if args.truth:
         acc = tr.IoUAccumulator(arch.classes)
         acc.update(pred, truth)
-        base = tr.IoUAccumulator(arch.classes)
-        base.update(coarse.argmax(axis=2).astype(np.int32), truth)
-        print(f"coarse IoU {base.mean():.4f}, refined IoU {acc.mean():.4f}")
+        base = tr.coarse_iou([(image, truth, coarse)], arch.classes)
+        print(f"coarse IoU {base:.4f}, refined IoU {acc.mean():.4f}")
     return 0
 
 

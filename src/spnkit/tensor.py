@@ -9,6 +9,7 @@ arrays, checked by :func:`map_from_array`.
 from __future__ import annotations
 
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +139,7 @@ def read_array(source) -> np.ndarray:
     if (dims == 0).any():
         raise FormatError(f"zero dimension in header at byte {7 + 4 * int(np.argmin(dims))}")
     dt = _CODE_TO_DTYPE[code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dt.itemsize
+    expected = math.prod(dims.tolist()) * dt.itemsize  # exact: no int64 wrap
     got = len(data) - need
     if got != expected:
         raise FormatError(

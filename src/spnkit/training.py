@@ -8,10 +8,10 @@ upsampled to full resolution for a softmax cross-entropy loss.
 
 Gates pass through the stability rescaling every step, so scan transfer
 matrices keep spectral radius at most one no matter what the network emits;
-an epoch-level health check verifies that invariant on real data: on the
-gates that the validation pass builds for its first sample, before that
-epoch's checkpoints are written. A non-finite loss aborts the run with gate
-statistics in the error message.
+an epoch-level health check verifies that invariant on real data, before
+that epoch's checkpoints are written: it is the report `evaluate` returns
+for the gates it built for the first validation sample. A non-finite loss
+aborts the run with gate statistics in the error message.
 
 Where the relu zeroes the scan input, the scan state decays geometrically
 under small gates and falls below the smallest normal float within a few
@@ -261,13 +261,14 @@ def pipeline_signature(cache: dict) -> bytes:
 
 def refine_sample(params: dict, arch: Architecture, image: np.ndarray,
                   coarse: np.ndarray, allowed=None):
-    """Predict labels for one sample. Returns (pred (H, W) int32, logits)."""
-    logits, _ = pipeline_forward(params, arch, image, coarse)
+    """Predict labels for one sample. Returns (pred (H, W) int32, gates):
+    the projected gates the prediction was made with."""
+    logits, cache = pipeline_forward(params, arch, image, coarse)
     if allowed is not None:
         block = np.full(logits.shape[2], -np.inf, dtype=logits.dtype)
         block[np.asarray(sorted(allowed), dtype=int)] = 0.0
         logits = logits + block
-    return logits.argmax(axis=2).astype(np.int32), logits
+    return logits.argmax(axis=2).astype(np.int32), cache["gates"]
 
 
 class IoUAccumulator:
@@ -317,44 +318,31 @@ class TrainResult:
 METRIC_FIELDS = ("epoch", "loss", "val_iou", "gate_max_abs_sum", "is_best", "seconds")
 
 
-def _sample_iou(params, arch, restrict: bool, sample):
-    """Per-class (intersection, union) pixel counts of one prediction."""
-    image, labels, coarse = sample
-    allowed = np.unique(labels) if restrict else None
-    acc = IoUAccumulator(arch.classes)
-    acc.update(refine_sample(params, arch, image, coarse, allowed)[0], labels)
-    return acc.inter, acc.union
-
-
-def _validation_sample(params, arch, item):
-    """`_sample_iou` of the unrestricted prediction of `item`, an (index,
-    sample) pair, plus, for index 0, the epoch's health check: the stability
-    report of the gates that prediction was made with."""
+def _sample_iou(params, arch, restrict: bool, item):
+    """Per-class (intersection, union) pixel counts of the prediction of
+    `item`, an (index, sample) pair, and for index 0 the stability report of
+    the gates that prediction was made with (None for the others)."""
     i, (image, labels, coarse) = item
-    logits, cache = pipeline_forward(params, arch, image, coarse)
+    allowed = np.unique(labels) if restrict else None
+    pred, gates = refine_sample(params, arch, image, coarse, allowed)
     acc = IoUAccumulator(arch.classes)
-    acc.update(logits.argmax(axis=2).astype(np.int32), labels)
-    health = verify_stability(cache["gates"], arch.kind) if i == 0 else None
-    return acc.inter, acc.union, health
+    acc.update(pred, labels)
+    return acc.inter, acc.union, verify_stability(gates, arch.kind) if i == 0 else None
 
 
-def _mean_iou(classes: int, counts) -> float:
-    """Mean IoU from per-sample (intersection, union, ...) counts."""
-    acc = IoUAccumulator(classes)
-    for inter, union, *_ in counts:
-        acc.inter += inter  # integer sums: the order does not matter
-        acc.union += union
-    return acc.mean()
-
-
-def evaluate(params, arch, samples, restrict: bool = False, pool=None) -> float:
-    """Mean IoU over samples; with `restrict`, each sample is predicted
-    among the labels of its own truth only. A `_SamplePool` spreads the
-    samples over its processes."""
+def evaluate(params, arch, samples, restrict: bool = False, pool=None):
+    """(mean IoU over samples, stability report of sample 0's gates); with
+    `restrict`, each sample is predicted among the labels of its own truth
+    only. A `_SamplePool` spreads the samples over its processes."""
     if pool is None:
         pool = _SamplePool(1)  # no workers: a serial loop
-    return _mean_iou(arch.classes, pool.map(
-        functools.partial(_sample_iou, params, arch, restrict), samples))
+    counts = pool.map(functools.partial(_sample_iou, params, arch, restrict),
+                      list(enumerate(samples)))
+    acc = IoUAccumulator(arch.classes)
+    for inter, union, _ in counts:
+        acc.inter += inter  # integer sums: the order does not matter
+        acc.union += union
+    return acc.mean(), counts[0][2] if counts else None
 
 
 def _sample_step(params, arch, sample):
@@ -545,12 +533,9 @@ def train(config: TrainConfig, data_dir, out_dir, progress=None, *,
                     sgd_step(params, grads, velocity, config.lr, config.momentum)
                     losses.append(sum(loss for loss, _ in steps) / len(steps))
 
-                counts = pool.map(functools.partial(_validation_sample, params, arch),
-                                  list(enumerate(val_samples)))
-                health = counts[0][2]  # from the first validation sample's gates
+                val_iou, health = evaluate(params, arch, val_samples, pool=pool)
                 if not health.ok:
                     raise ContractError(f"gate projection failed to bound gates: {health}")
-                val_iou = _mean_iou(classes, counts)
                 is_best = val_iou > best
                 if is_best:
                     best = val_iou

@@ -350,6 +350,21 @@ def test_refine_rejects_nonfinite_coarse(capsys, trained, tmp_path):
     assert not pred.exists()
 
 
+def test_refine_rejects_coarse_of_wrapping_dimensions(capsys, trained, tmp_path):
+    # four dimensions of 2**16: their int64 product wrapped to 0, which the
+    # empty payload matched, and reshape raised a bare ValueError (exit 1)
+    ds_dir, out_dir = trained
+    bad = tmp_path / "bad.spnt"
+    bad.write_bytes(b"SPNT" + bytes([1, 1, 4]) + np.full(4, 1 << 16, dtype="<u4").tobytes())
+    pred = tmp_path / "pred.pgm"
+    rc, _, err = run(capsys, "refine", "--checkpoint", str(out_dir / "best"),
+                     "--image", str(ds_dir / "images" / "0009.ppm"),
+                     "--coarse", str(bad), "--out", str(pred))
+    assert rc == 2
+    assert err.startswith("error: ") and "at byte 23" in err
+    assert not pred.exists()
+
+
 def test_refine_rejects_nonfinite_checkpoint(capsys, trained, tmp_path):
     _, out_dir = trained
     ck = tmp_path / "ck"
@@ -599,6 +614,24 @@ def test_manifest_bad_classes_exit_2(capsys, trained, tmp_path, command):
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert "classes" in err and "'abc'" in err
+
+
+def test_eval_checks_classes_before_loading_samples(capsys, trained, tmp_path, monkeypatch):
+    import shutil
+    ds_dir, out_dir = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(ds_dir, ds)
+    manifest = ds / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("classes=2", "classes=3"))
+    loaded = []
+    real_load = cli.tr.load_sample
+    monkeypatch.setattr(cli.tr, "load_sample",
+                        lambda *args: loaded.append(args) or real_load(*args))
+    rc, out, err = run(capsys, "eval", "--checkpoint", str(out_dir / "best"),
+                       "--data", str(ds))
+    assert rc == 2
+    assert err == "error: checkpoint has 2 classes, dataset has 3\n"
+    assert loaded == [] and out == ""
 
 
 def test_refine_restrict_uses_coarse_labels_only(capsys, trained, tmp_path):

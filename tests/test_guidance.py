@@ -553,6 +553,17 @@ def test_checkpoint_payload_size_mismatch(tmp_path, edit):
         checkpoint_load(tmp_path / "ck")
 
 
+def test_checkpoint_record_of_wrapping_dimensions(tmp_path):
+    # four dimensions of 2**16, whose int64 product wraps to 0, and no payload
+    arch = small_arch()
+    checkpoint_save(tmp_path / "ck", arch, init_params(arch, np.random.default_rng(15)))
+    head = (tmp_path / "ck").read_bytes().partition(b"\0")[0]
+    record = b"SPNT" + bytes([1, 1, 4]) + np.full(4, 1 << 16, dtype="<u4").tobytes()
+    (tmp_path / "ck").write_bytes(head + b"\0" + record)
+    with pytest.raises(CheckpointError, match=f"expected {1 << 66} bytes, found 0"):
+        checkpoint_load(tmp_path / "ck")
+
+
 def test_checkpoint_v1_directory_refused(tmp_path):
     # the retired layout: a directory of a manifest and one file per parameter
     arch = small_arch()

@@ -201,6 +201,14 @@ def test_tensor_trailing_garbage_rejected(tmp_path):
         read_array(p)
 
 
+def test_tensor_dimension_product_does_not_wrap():
+    # four dimensions of 2**16 and no payload: their int64 product wraps to
+    # 0, which the empty payload matched, so reshape raised a bare ValueError
+    blob = b"SPNT" + bytes([1, 1, 4]) + np.full(4, 1 << 16, dtype="<u4").tobytes()
+    with pytest.raises(FormatError, match=f"at byte 23: expected {1 << 66} bytes, found 0"):
+        read_array(blob)
+
+
 def test_tensor_bad_version_and_dtype(tmp_path):
     arr = np.ones((2,), dtype=np.float32)
     p = tmp_path / "v.spnt"

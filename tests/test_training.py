@@ -433,6 +433,33 @@ def test_train_health_check_fails_before_checkpoints(tiny_dataset, tmp_path, mon
         assert list(csv.reader(fh)) == [list(METRIC_FIELDS)]  # no epoch finished
 
 
+@pytest.mark.parametrize("processes", [1, 2])
+def test_train_validates_through_evaluate(tiny_dataset, tmp_path, monkeypatch, processes):
+    # one call per epoch, on the validation split: perfbench times it by name
+    real_evaluate, calls = training.evaluate, []
+
+    def spy(params, arch, samples, *args, **kwargs):
+        calls.append(len(samples))
+        return real_evaluate(params, arch, samples, *args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", spy)
+    train(tiny_config(epochs=2), tiny_dataset, tmp_path / "run", workers=processes)
+    assert calls == [2, 2]
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_train_agrees_with_an_evaluation_of_its_best_checkpoint(tiny_dataset, tmp_path,
+                                                                processes):
+    res = train(tiny_config(epochs=3), tiny_dataset, tmp_path / "run", workers=processes)
+    arch, params, _ = checkpoint_load(tmp_path / "run" / "best")
+    _, val_idx, meta = load_split(tiny_dataset)
+    samples = [load_sample(tiny_dataset, i, int(meta["classes"])) for i in val_idx]
+    iou, report = evaluate(params, arch, samples)
+    best = [row for row in res.rows if row["is_best"]][-1]
+    assert iou == res.best_iou
+    assert repr(report.max_abs_sum) == best["gate_max_abs_sum"]
+
+
 def test_train_needs_no_in_place_parameter_update(tiny_dataset, tmp_path, monkeypatch):
     # every request carries the parameters, so a step that rebinds them
     # reaches the workers as an in-place one does
@@ -602,7 +629,7 @@ def test_evaluate_restrict_matches_refine_sample():
             pred, _ = refine_sample(params, arch, image, coarse, allowed)
             used |= set(np.unique(pred).tolist())
             acc.update(pred, labels)
-        assert evaluate(params, arch, samples, restrict=restrict) == acc.mean()
+        assert evaluate(params, arch, samples, restrict=restrict)[0] == acc.mean()
         assert (2 in used) != restrict
 
 
