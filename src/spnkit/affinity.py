@@ -1,10 +1,11 @@
 """Dense global view of a directional scan, for verification and analysis.
 
-A whole scan is one linear map on the vectorized grid. Stacking scan lines in
-order gives a block lower-triangular matrix G: block (t, k) with k < t is the
-product of the one-step transfer matrices between lines k and t applied to
-line k's retention, and block (t, t) is the retention itself (identity minus
-the pixel's total gate mass). Every row of G sums to one by construction.
+A whole scan is one linear map on the vectorized grid. Stacking the scan's
+steps in order, each step's lines in order within it, gives a block
+lower-triangular matrix G: block (t, k) with k < t is the product of the
+one-step transfer matrices between steps k and t applied to step k's
+retention, and block (t, t) is the retention itself (identity minus the
+pixel's total gate mass). Every row of G sums to one by construction.
 
 This module builds G entry by entry from the gates, never running the scan
 recurrence, so comparing `oracle_propagate` against the scan output checks two
@@ -24,7 +25,7 @@ from .errors import DimensionError
 from .propagation import (
     ConnectionKind,
     Direction,
-    _to_scan,
+    _step_major,
     check_boundary_zeros,
     step_matrix,
 )
@@ -32,17 +33,20 @@ from .propagation import (
 MAX_ORACLE_PIXELS = 400
 
 
-def _scan_dims(height: int, width: int, direction: Direction):
-    """Canonical (parallel, steps) sizes for a direction."""
-    return _to_scan(np.broadcast_to(0, (height, width)), direction).shape
+def check_dense_size(height: int, width: int) -> None:
+    """Raise DimensionError if an (H, W) grid exceeds the dense cap."""
+    total = height * width
+    if total > MAX_ORACLE_PIXELS:
+        raise DimensionError(
+            f"dense views need {total} pixels, capped at {MAX_ORACLE_PIXELS}")
 
 
 def vec_map(x: np.ndarray, direction: Direction) -> np.ndarray:
-    """Vectorize (H, W, C) in scan order: line k occupies rows k*n..(k+1)*n."""
+    """Vectorize (H, W, C) in scan order: with n lines, step t occupies rows
+    t*n..(t+1)*n, line i of it row t*n + i."""
     if x.ndim != 3:
         raise DimensionError("vec_map expects (H, W, C)")
-    n_total = x.shape[0] * x.shape[1]
-    return _to_scan(x, direction).reshape(n_total, x.shape[2], order="F")
+    return _step_major(x, direction).reshape(x.shape[0] * x.shape[1], x.shape[2])
 
 
 def unvec_map(v: np.ndarray, height: int, width: int,
@@ -51,15 +55,15 @@ def unvec_map(v: np.ndarray, height: int, width: int,
     if v.ndim != 2 or v.shape[0] != height * width:
         raise DimensionError("unvec_map expects (H*W, C)")
     out = np.empty((height, width, v.shape[1]), dtype=v.dtype)
-    view = _to_scan(out, direction)
-    view[...] = v.reshape(view.shape, order="F")
+    view = _step_major(out, direction)
+    view[...] = v.reshape(view.shape)
     return out
 
 
 def scan_permutation(height: int, width: int, direction: Direction) -> np.ndarray:
     """perm such that vec_map(x)[j, c] == x[..., c].flat[perm[j]]."""
-    idx = np.arange(height * width).reshape(height, width)[:, :, None]
-    return vec_map(idx, direction)[:, 0]
+    return _step_major(np.arange(height * width).reshape(height, width),
+                       direction).ravel()
 
 
 @dataclass(frozen=True)
@@ -86,15 +90,12 @@ class DenseAffinity:
 def _dense_scan_gates(gates_dir: np.ndarray, direction: Direction,
                       kind: ConnectionKind) -> np.ndarray:
     """One direction's (H, W, C, K) gates, checked against the dense cap,
-    as a float64 (parallel, steps, C, K) array in scan order."""
+    as a float64 step-major (steps, lines, C, K) array."""
     if gates_dir.ndim != 4 or gates_dir.shape[3] != kind.gates_per_direction:
         raise DimensionError(
             f"gates shaped {gates_dir.shape}, expected (H, W, C, {kind.gates_per_direction})")
-    total = gates_dir.shape[0] * gates_dir.shape[1]
-    if total > MAX_ORACLE_PIXELS:
-        raise DimensionError(
-            f"dense views need {total} pixels, capped at {MAX_ORACLE_PIXELS}")
-    return np.ascontiguousarray(_to_scan(gates_dir, direction), dtype=np.float64)
+    check_dense_size(gates_dir.shape[0], gates_dir.shape[1])
+    return np.ascontiguousarray(_step_major(gates_dir, direction), dtype=np.float64)
 
 
 def build_dense_affinity(gates_dir: np.ndarray, direction: Direction,
@@ -104,7 +105,7 @@ def build_dense_affinity(gates_dir: np.ndarray, direction: Direction,
     check_boundary_zeros(gates_dir, kind, direction)
     height, width, channels = gates_dir.shape[:3]
     total = height * width
-    n, steps = gs.shape[:2]
+    steps, n = gs.shape[:2]
     eye = np.eye(n)
     G = np.zeros((channels, total, total))
     for c in range(channels):
@@ -113,7 +114,7 @@ def build_dense_affinity(gates_dir: np.ndarray, direction: Direction,
             if t == 0:
                 blocks = [eye]
             else:
-                w_t = step_matrix(gs[:, t, c, :], kind)
+                w_t = step_matrix(gs[t, :, c, :], kind)
                 lam_t = eye - np.diag(w_t.sum(axis=1))
                 blocks = [w_t @ b for b in prev_blocks]
                 blocks.append(lam_t)
@@ -196,7 +197,8 @@ class SparsityStats:
 def sparsity_stats(aff: DenseAffinity) -> SparsityStats:
     """Count structural nonzeros and confirm the block triangular layout."""
     nz = int((np.abs(aff.G) > 0.0).sum())
-    n, steps = _scan_dims(aff.height, aff.width, aff.direction)
+    steps, n = _step_major(np.broadcast_to(0, (aff.height, aff.width)),
+                           aff.direction).shape
     tri = True
     for t in range(steps):
         upper = aff.G[:, t * n:(t + 1) * n, (t + 1) * n:]
@@ -209,16 +211,16 @@ def sparsity_stats(aff: DenseAffinity) -> SparsityStats:
 
 def step_spectra(gates_dir: np.ndarray, direction: Direction,
                  kind: ConnectionKind) -> np.ndarray:
-    """Spectral radius of each line's transfer matrix, (steps-1, C).
+    """Spectral radius of each step's transfer matrix, (steps-1, C).
 
     Eigenvalues come from dense eigendecomposition; grids small enough for
     the dense cap pose no conditioning concerns.
     """
     gs = _dense_scan_gates(gates_dir, direction, kind)
-    _, steps, channels = gs.shape[:3]
+    steps, _, channels = gs.shape[:3]
     out = np.zeros((max(steps - 1, 0), channels))
     for t in range(1, steps):
         for c in range(channels):
-            w_t = step_matrix(gs[:, t, c, :], kind)
+            w_t = step_matrix(gs[t, :, c, :], kind)
             out[t - 1, c] = np.abs(np.linalg.eigvals(w_t)).max()
     return out

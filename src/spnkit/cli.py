@@ -44,13 +44,13 @@ from .propagation import (
     KIND_NAMES,
     NAME_TO_DIRECTION,
     NAME_TO_KIND,
-    apply_boundary,
     boundary_mask,
     check_boundary_zeros,
     propagate_direction,
     random_gates,
     spn_backward,
     spn_forward,
+    zero_boundary,
 )
 from .stability import (
     STABILITY_TOL,
@@ -79,7 +79,7 @@ class CheckLog:
 def cmd_verify(args) -> int:
     # grid sides are drawn from [2, --max-size]
     require_at_least(("--trials", args.trials, 1), ("--max-size", args.max_size, 2),
-                     ("--channels", args.channels, 1))
+                     ("--channels", args.channels, 1), ("--seed", args.seed, 0))
     largest = math.isqrt(aff.MAX_ORACLE_PIXELS)  # the dense oracle's grid cap
     if args.max_size > largest:
         raise ConfigError(f"--max-size must be at most {largest} (dense oracle cap "
@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not (np.isfinite(args.eps) and args.eps > 0.0):
         raise ConfigError(f"--eps must be a positive finite step, got {args.eps!r}")
-    require_at_least(("--coords", args.coords, 1))
+    require_at_least(("--coords", args.coords, 1), ("--seed", args.seed, 0))
     rng = np.random.default_rng(args.seed)
     log = CheckLog()
     budget_each = max(args.coords // 8, 10)
@@ -260,11 +260,12 @@ def cmd_gradcheck(args) -> int:
 def _check_grid(args) -> None:
     if args.height < 1 or args.width < 1:
         raise DimensionError("grid dimensions must be >= 1")
+    aff.check_dense_size(args.height, args.width)  # before any gate is built
 
 
 def cmd_affinity(args) -> int:
     _check_grid(args)
-    require_at_least(("--channels", args.channels, 1))
+    require_at_least(("--channels", args.channels, 1), ("--seed", args.seed, 0))
     rng = np.random.default_rng(args.seed)
     kind = NAME_TO_KIND[args.kind]
     d = NAME_TO_DIRECTION[args.direction]
@@ -306,7 +307,7 @@ def cmd_impulse(args) -> int:
     kind = NAME_TO_KIND[args.kind]
     d = NAME_TO_DIRECTION[args.direction]
     k = kind.gates_per_direction
-    gates = apply_boundary(
+    gates = zero_boundary(
         np.full((args.height, args.width, 1, 4, k), args.gate_value), kind)
     gd = gates[:, :, :, d, :]
     resp = aff.impulse_response(gd, d, kind, args.row, args.col)

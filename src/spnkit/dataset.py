@@ -185,7 +185,8 @@ def gen_toy_dataset(root, n_train: int, n_val: int, size: int, classes: int,
     """Render and write a dataset; returns the manifest metadata mapping."""
     if n_train < 1 or n_val < 1:
         raise ConfigError("need at least one training and one validation item")
-    require_at_least(("coarse_factor", coarse_factor, 1), ("coarse_blur", coarse_blur, 0))
+    require_at_least(("coarse_factor", coarse_factor, 1), ("coarse_blur", coarse_blur, 0),
+                     ("seed", seed, 0))
     _check_sample_args(size, classes)
     root = Path(root)
     for sub in ("images", "masks", "coarse"):

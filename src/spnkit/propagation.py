@@ -1,18 +1,23 @@
 """Directional linear propagation over image grids.
 
-A scan sweeps the grid one line at a time. Each output pixel mixes its own
-input with values from the previous scan line, weighted by per-pixel gates:
+A scan sweeps the grid one step at a time. Step t advances with the scan,
+and a line is one of its parallel 1-D paths: a row for a left/right scan, a
+column for a top/bottom one. `_step_major` views a grid as (steps, lines).
+Each output pixel mixes its own input with values from the previous step,
+weighted by per-pixel gates:
 
     h[t] = (1 - sum(p)) * x[t] + sum_j p_j * h_neighbor_j[t-1]
 
-with the first scan line copied from the input. One-way connections read a
-single aligned neighbor; three-way connections also read the two diagonal
-neighbors. Four scan directions are integrated node-wise by max pooling.
+with the first step copied from the input. One-way connections read a
+single aligned neighbor, on the pixel's own line; three-way connections
+also read the two diagonal neighbors, on the neighbouring lines. Four scan
+directions are integrated node-wise by max pooling.
 
-Gates on the first scan line, and the diagonal gates that would reach outside
-the grid, must be exactly zero. That contract keeps every output a convex-like
-combination whose coefficients sum to one, which is what makes a constant
-input an exact fixed point regardless of gate values.
+Gates on the first step, and the diagonal gates of the edge lines that
+would reach outside the grid, must be exactly zero. That contract keeps
+every output a convex-like combination whose coefficients sum to one, which
+is what makes a constant input an exact fixed point regardless of gate
+values.
 
 All scans run through one time loop over a stack of directions. A scan is
 laid out step-major, (steps, lines, C), and directions with the same
@@ -73,7 +78,7 @@ NAME_TO_DIRECTION = {v: k for k, v in DIRECTION_NAMES.items()}
 
 
 class ConnectionKind(IntEnum):
-    """Number of previous-line neighbors each pixel reads."""
+    """Number of previous-step neighbors each pixel reads."""
 
     ONE_WAY = 1
     THREE_WAY = 3
@@ -86,28 +91,30 @@ class ConnectionKind(IntEnum):
 KIND_NAMES = {ConnectionKind.ONE_WAY: "one", ConnectionKind.THREE_WAY: "three"}
 NAME_TO_KIND = {v: k for k, v in KIND_NAMES.items()}
 
-# Gate slot order for THREE_WAY, indexing the previous-line neighbor by its
-# offset in the in-line coordinate: -1, 0, +1.
+# Gate slot order for THREE_WAY, indexing the previous step's neighbor by
+# its line offset: -1, 0, +1.
 GATE_PREV = 0
 GATE_SAME = 1
 GATE_NEXT = 2
 
 
-def _to_scan(arr: np.ndarray, direction: Direction) -> np.ndarray:
-    """View an array in scan coordinates: axis 1 advances with the scan."""
+def _step_major(arr: np.ndarray, direction: Direction) -> np.ndarray:
+    """View grid-ordered (H, W, ...) data as (steps, lines, ...) for a
+    direction: axis 0 advances with the scan, axis 1 holds its lines."""
     if direction == Direction.LEFT_TO_RIGHT:
-        return arr
-    if direction == Direction.RIGHT_TO_LEFT:
-        return arr[:, ::-1]
-    if direction == Direction.TOP_TO_BOTTOM:
         return arr.swapaxes(0, 1)
-    return arr.swapaxes(0, 1)[:, ::-1]
+    if direction == Direction.RIGHT_TO_LEFT:
+        return arr[:, ::-1].swapaxes(0, 1)
+    if direction == Direction.TOP_TO_BOTTOM:
+        return arr
+    return arr[::-1]
 
 
 def _pinned(gate_data: np.ndarray, kind: ConnectionKind,
             direction: Direction | None = None):
     """Yield views of the gates that the boundary contract pins to zero: the
-    first scan line, and for THREE_WAY the diagonal slots of the edge lines.
+    first step, and for THREE_WAY the diagonal slot of each edge line that
+    points outside the grid.
 
     `gate_data` holds all directions' (H, W, C, 4, K) gates, or, when
     `direction` is given, that direction's (H, W, C, K) gates.
@@ -115,12 +122,12 @@ def _pinned(gate_data: np.ndarray, kind: ConnectionKind,
     if gate_data.shape[0] < 1 or gate_data.shape[1] < 1:
         raise DimensionError("grid dimensions must be >= 1")
     for d in Direction if direction is None else (direction,):
-        g = _to_scan(gate_data if direction is not None
-                     else gate_data[:, :, :, d, :], d)
-        yield g[:, 0]
+        g = _step_major(gate_data if direction is not None
+                        else gate_data[:, :, :, d, :], d)
+        yield g[0]
         if kind == ConnectionKind.THREE_WAY:
-            yield g[0, :, :, GATE_PREV]
-            yield g[-1, :, :, GATE_NEXT]
+            yield g[:, 0, :, GATE_PREV]
+            yield g[:, -1, :, GATE_NEXT]
 
 
 def zero_boundary(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
@@ -135,11 +142,6 @@ def boundary_mask(height: int, width: int, kind: ConnectionKind) -> np.ndarray:
     """Boolean (H, W, 4, K) array, True where a gate is required to be zero."""
     free = np.ones((height, width, 1, 4, kind.gates_per_direction), dtype=bool)
     return ~zero_boundary(free, kind)[:, :, 0]
-
-
-def apply_boundary(gate_data: np.ndarray, kind: ConnectionKind) -> np.ndarray:
-    """Return a copy of (H, W, C, 4, K) gates with required zeros applied."""
-    return zero_boundary(gate_data.copy(), kind)
 
 
 def check_boundary_zeros(gate_data: np.ndarray, kind: ConnectionKind,
@@ -164,11 +166,6 @@ def check_boundary_zeros(gate_data: np.ndarray, kind: ConnectionKind,
         f"{tuple(int(v) for v in i)}, found {gate_data[tuple(i)]!r}")
 
 
-def _step_major(arr: np.ndarray, direction: Direction) -> np.ndarray:
-    """View grid-ordered (H, W, ...) data as (steps, lines, ...) for a direction."""
-    return _to_scan(arr, direction).swapaxes(0, 1)
-
-
 def _direction_groups(height: int, width: int) -> tuple:
     """Directions whose scans share one (steps, lines) shape, in index order."""
     if height == width:
@@ -181,7 +178,7 @@ class ScanStack:
     """Gates of one or more directions laid out for one fused scan.
 
     Built from one (H, W, C, K) gate array per direction, cast to `dtype`.
-    Each direction is a block of `lines` scan lines. The blocks sit side by
+    Each direction is a block of `lines` lines. The blocks sit side by
     side on the line axis in the order of `directions`; three-way stacks put
     one zero separator line before, between and after them. `slots` is
     (K, steps, rows, C) and `coef`, the input weight 1 - sum(p), is
@@ -265,10 +262,6 @@ class ScanCache:
     h_scan: np.ndarray
 
     @property
-    def kind(self) -> ConnectionKind:
-        return self.stack.kind
-
-    @property
     def gates_scan(self) -> np.ndarray:
         """The stacked gates as a (steps, rows, C, K) view."""
         return np.moveaxis(self.stack.slots, 0, -1)
@@ -278,7 +271,7 @@ def _scan(stack: ScanStack, grids) -> ScanCache:
     """Scan each direction of `stack` over its (H, W, C) grid in one time loop.
 
     The input term (1 - sum(p)) * x is formed for every step up front; the
-    loop adds the previous-line terms in the order the recurrence is written.
+    loop adds the previous step's terms in the order the recurrence is written.
     """
     xs = stack.stack(grids)
     h = stack.coef * xs
@@ -487,10 +480,11 @@ def spn_backward(grad: np.ndarray, caches: list):
 
 
 def step_matrix(gate_line: np.ndarray, kind: ConnectionKind) -> np.ndarray:
-    """Dense (n, n) one-step transfer matrix for one scan line's gates.
+    """Dense (n, n) one-step transfer matrix for one step's gates.
 
-    `gate_line` is (n, K) in scan coordinates: entry (i, j) of the result
-    weights previous-line position i-1, i, or i+1 feeding position i.
+    `gate_line` is (n, K), one row per line, as `_step_major(gates, d)[t]`
+    gives it for one channel: entry (i, j) of the result weights line j of
+    the previous step, i-1, i or i+1, feeding line i.
     """
     n, k = gate_line.shape
     if k != kind.gates_per_direction:
@@ -516,7 +510,7 @@ def random_gates(height: int, width: int, channels: int, kind: ConnectionKind,
     if high is None:
         high = 0.9 / k
     data = rng.uniform(low, high, size=(height, width, channels, 4, k))
-    data = apply_boundary(data, kind)
+    data = zero_boundary(data, kind)
     if project:
         from .stability import project_gates
         data = project_gates(data, kind)

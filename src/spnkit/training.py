@@ -173,7 +173,7 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
 
 
 def init_pipeline_params(arch: Architecture, rng: np.random.Generator,
-                         post_gain: float = 3.0, dtype=np.float32) -> dict:
+                         post_gain: float = TrainConfig.post_gain, dtype=np.float32) -> dict:
     """Random init plus identity taps through the embedding convs.
 
     The pre and post convs get a strong center-tap identity on the first

@@ -18,10 +18,10 @@ from spnkit.dataset import gen_toy_dataset
 from spnkit.fdcheck import check_gradient
 from spnkit.guidance import (Architecture, guidance_backward, guidance_forward,
                              init_params, relu_signature)
-from spnkit.propagation import (ConnectionKind, Direction, _to_scan,
-                                apply_boundary, boundary_mask,
-                                propagate_direction, random_gates,
-                                spn_backward, spn_forward, step_matrix)
+from spnkit.propagation import (ConnectionKind, Direction, _step_major,
+                                boundary_mask, propagate_direction,
+                                random_gates, spn_backward, spn_forward,
+                                step_matrix, zero_boundary)
 from spnkit.stability import project_gates
 from spnkit.tensor import (map_from_array, read_array, read_image_pnm,
                            write_array, write_image_pnm)
@@ -111,10 +111,10 @@ def test_acceptance_3_projection_bound_and_containment():
         raw = random_gates(h, w, 2, kind, rng, low=-2.0, high=2.0)
         gates = project_gates(raw, kind)
         for direction in Direction:
-            canon = _to_scan(gates[:, :, :, direction, :], direction)
-            for t in range(canon.shape[1]):
-                for c in range(canon.shape[2]):
-                    m = step_matrix(canon[:, t, c, :], kind)
+            steps = _step_major(gates[:, :, :, direction, :], direction)
+            for t in range(steps.shape[0]):
+                for c in range(steps.shape[2]):
+                    m = step_matrix(steps[t, :, c, :], kind)
                     worst_bound = max(worst_bound,
                                       float(np.abs(m).sum(axis=1).max()))
 
@@ -257,16 +257,16 @@ def test_acceptance_5_impulse_support_and_density():
     start = time.perf_counter()
     height, width, row = 7, 9, 3
 
-    g1 = apply_boundary(np.full((height, width, 1, 4, 1), 0.5),
-                        ConnectionKind.ONE_WAY)
+    g1 = zero_boundary(np.full((height, width, 1, 4, 1), 0.5),
+                       ConnectionKind.ONE_WAY)
     resp1 = impulse_response(g1[:, :, :, Direction.LEFT_TO_RIGHT, :], Direction.LEFT_TO_RIGHT,
                              ConnectionKind.ONE_WAY, row, 0)
     expected1 = np.zeros((height, width), dtype=bool)
     expected1[row, :] = True
     one_ok = bool(((resp1 != 0.0) == expected1).all())
 
-    g3 = apply_boundary(np.full((height, width, 1, 4, 3), 1.0 / 3.0),
-                        ConnectionKind.THREE_WAY)
+    g3 = zero_boundary(np.full((height, width, 1, 4, 3), 1.0 / 3.0),
+                       ConnectionKind.THREE_WAY)
     resp3 = impulse_response(g3[:, :, :, Direction.LEFT_TO_RIGHT, :], Direction.LEFT_TO_RIGHT,
                              ConnectionKind.THREE_WAY, row, 0)
     rows = np.arange(height)[:, None]
@@ -275,10 +275,10 @@ def test_acceptance_5_impulse_support_and_density():
     fan_ok = bool(((resp3 != 0.0) == expected3).all())
 
     mag = 0.3
-    d1 = apply_boundary(np.full((height, width, 1, 4, 1), mag),
-                        ConnectionKind.ONE_WAY)
-    d3 = apply_boundary(np.full((height, width, 1, 4, 3), mag),
-                        ConnectionKind.THREE_WAY)
+    d1 = zero_boundary(np.full((height, width, 1, 4, 1), mag),
+                       ConnectionKind.ONE_WAY)
+    d3 = zero_boundary(np.full((height, width, 1, 4, 3), mag),
+                       ConnectionKind.THREE_WAY)
     aff1 = build_dense_affinity(d1[:, :, :, Direction.LEFT_TO_RIGHT, :], Direction.LEFT_TO_RIGHT,
                                 ConnectionKind.ONE_WAY)
     aff3 = build_dense_affinity(d3[:, :, :, Direction.LEFT_TO_RIGHT, :], Direction.LEFT_TO_RIGHT,

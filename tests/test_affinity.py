@@ -20,15 +20,37 @@ from spnkit.propagation import (
     GATE_PREV,
     GATE_SAME,
     GATE_NEXT,
-    apply_boundary,
+    _step_major,
     propagate_direction,
     random_gates,
+    zero_boundary,
 )
 from spnkit.stability import gate_abs_sums, project_gates
 
 ONE = ConnectionKind.ONE_WAY
 THREE = ConnectionKind.THREE_WAY
 LTR = Direction.LEFT_TO_RIGHT
+
+
+def test_step_major_and_vec_map_by_index_arithmetic():
+    # step t of line i is the pixel each direction reaches at step t on
+    # line i; vec_map puts it at row t * lines + i
+    height, width = 3, 5
+    grid = np.arange(height * width).reshape(height, width)
+    reached = {
+        Direction.LEFT_TO_RIGHT: (width, height, lambda t, i: grid[i, t]),
+        Direction.RIGHT_TO_LEFT: (width, height, lambda t, i: grid[i, width - 1 - t]),
+        Direction.TOP_TO_BOTTOM: (height, width, lambda t, i: grid[t, i]),
+        Direction.BOTTOM_TO_TOP: (height, width, lambda t, i: grid[height - 1 - t, i]),
+    }
+    for d, (steps, lines, pixel) in reached.items():
+        view = _step_major(grid, d)
+        vec = vec_map(grid[:, :, None], d)[:, 0]
+        assert view.shape == (steps, lines)
+        for t in range(steps):
+            for i in range(lines):
+                assert view[t, i] == pixel(t, i)
+                assert vec[t * lines + i] == pixel(t, i)
 
 
 def test_vec_unvec_roundtrip_all_directions():
@@ -148,7 +170,7 @@ def test_impulse_response_matches_scan_delta():
 
 def test_impulse_trinomial_row_frozen():
     # uniform 1/3 gates spread a first-column delta like trinomial weights
-    g = apply_boundary(np.full((9, 4, 1, 4, 3), 1.0 / 3.0), THREE)
+    g = zero_boundary(np.full((9, 4, 1, 4, 3), 1.0 / 3.0), THREE)
     resp = impulse_response(g[:, :, :, 0, :], LTR, THREE, 4, 0)
     np.testing.assert_allclose(resp[2:7, 2],
                                np.array([1, 2, 3, 2, 1]) / 9.0, atol=1e-12)

@@ -2,6 +2,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -151,6 +152,36 @@ def test_gradcheck_catches_wrong_spn_gate_gradient(capsys, monkeypatch):
     assert has_line(out, "spn-gates[one,6x6]: FAIL")
     assert has_line(out, "spn-gates[three,5x6]: FAIL")
     assert has_line(out, "spn-input[three,5x6]: PASS")
+
+
+@pytest.mark.parametrize("command", ["verify", "gradcheck", "affinity", "gen-data"])
+def test_negative_seed_exit_2(capsys, tmp_path, command):
+    # numpy's generator refused it with a traceback and exit 1, after
+    # gen-data had made its directories
+    out_dir = tmp_path / "ds"
+    extra = ("--out", str(out_dir)) if command == "gen-data" else ()
+    rc, out, err = run(capsys, command, *extra, "--seed", "-1")
+    flag = "seed" if command == "gen-data" else "--seed"
+    assert rc == 2
+    assert err == f"error: {flag} must be at least 0, got -1\n"
+    assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["affinity", "impulse"])
+def test_dense_cap_checked_before_gates_are_built(capsys, command):
+    # a 1000x1000 grid's gates took 183-249 MiB before the dense oracle
+    # refused them
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, command, "--height", "1000", "--width", "1000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert err == "error: dense views need 1000000 pixels, capped at 400\n"
+    assert out == ""
+    assert peak < 1 << 20
 
 
 def test_affinity_report(capsys, tmp_path):

@@ -9,11 +9,9 @@ from spnkit.propagation import (
     DIRECTION_NAMES,
     Direction,
     ConnectionKind,
-    _to_scan,
     GATE_PREV,
     GATE_SAME,
     GATE_NEXT,
-    apply_boundary,
     boundary_mask,
     check_boundary_zeros,
     ScanStack,
@@ -172,7 +170,7 @@ def test_impulse_cone_three_way():
     h_, w_ = 7, 5
     x = np.zeros((h_, w_, 1))
     x[3, 0, 0] = 1.0
-    g = apply_boundary(np.full((h_, w_, 1, 4, 3), 1.0 / 3.0), THREE)
+    g = zero_boundary(np.full((h_, w_, 1, 4, 3), 1.0 / 3.0), THREE)
     h = propagate_direction(x, g[:, :, :, Direction.LEFT_TO_RIGHT, :],
                             Direction.LEFT_TO_RIGHT, THREE)
     for t in range(w_):
@@ -368,6 +366,18 @@ def _ref_scan_backward(x, h, gates, grad, kind):
     return dx, dgates
 
 
+def _to_scan(arr, direction):
+    """View an array in scan coordinates: axis 0 holds the lines, axis 1
+    advances with the scan."""
+    if direction == Direction.LEFT_TO_RIGHT:
+        return arr
+    if direction == Direction.RIGHT_TO_LEFT:
+        return arr[:, ::-1]
+    if direction == Direction.TOP_TO_BOTTOM:
+        return arr.swapaxes(0, 1)
+    return arr.swapaxes(0, 1)[:, ::-1]
+
+
 def _from_scan(arr, direction):
     """Inverse of `_to_scan`: scan coordinates back to grid orientation."""
     if direction == Direction.LEFT_TO_RIGHT:
@@ -500,7 +510,6 @@ def test_backward_cache_exposes_gate_slot_count():
             _, caches = spn_forward(rng.standard_normal((height, width, 2)),
                                     gates, kind, units=2)
             assert caches[0].scans[0].gates_scan.shape[-1] == kind.gates_per_direction
-            assert caches[0].scans[0].kind == kind
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -636,7 +645,6 @@ def test_zero_boundary_matches_mask_multiply(height, width, kind):
     out = zero_boundary(g.copy(), kind)
     assert np.array_equal(out, g * ~mask)  # the multiply it replaced (+-0)
     assert out.tobytes() == np.where(mask, 0.0, g).tobytes()
-    assert apply_boundary(g, kind).tobytes() == out.tobytes()
     view = np.zeros((height, 2 * width) + g.shape[2:])[:, ::2]
     view[...] = g
     assert zero_boundary(view, kind) is view
@@ -647,9 +655,8 @@ def test_zero_boundary_matches_mask_multiply(height, width, kind):
 @pytest.mark.parametrize("kind", [ONE, THREE])
 def test_zero_boundary_rejects_empty_grid(height, width, kind):
     g = np.zeros((height, width, 1, 4, kind.gates_per_direction))
-    for zero in (zero_boundary, apply_boundary):
-        with pytest.raises(DimensionError, match="grid dimensions must be >= 1"):
-            zero(g, kind)
+    with pytest.raises(DimensionError, match="grid dimensions must be >= 1"):
+        zero_boundary(g, kind)
     with pytest.raises(DimensionError, match="grid dimensions must be >= 1"):
         boundary_mask(height, width, kind)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spnkit.fdcheck import check_gradient
-from spnkit.propagation import ConnectionKind, apply_boundary, random_gates
+from spnkit.propagation import ConnectionKind, random_gates
 from spnkit.stability import (
     STABILITY_TOL,
     gate_abs_sums,
