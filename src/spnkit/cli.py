@@ -96,8 +96,8 @@ def cmd_verify(args) -> int:
     for trial in range(args.trials):
         h = int(rng.integers(2, args.max_size + 1))
         w = int(rng.integers(2, args.max_size + 1))
-        gates = random_gates(h, w, args.channels, kind, rng, low=-1.5, high=1.5)
-        gates = project_gates(gates, kind)
+        gates = random_gates(h, w, args.channels, kind, rng, low=-1.5, high=1.5,
+                             project=True)
         if args.inject_fault == "unprojected":
             gates = random_gates(h, w, args.channels, kind, rng,
                                  low=0.6, high=1.4)
@@ -110,12 +110,14 @@ def cmd_verify(args) -> int:
             worst["boundary"] = False
 
         x = rng.standard_normal((h, w, args.channels))
+        const = np.full((h, w, args.channels), 0.75, dtype=dtype)
         for d in Direction:
             gd = gates[:, :, :, d, :]
             dense = aff.build_dense_affinity(gd, d, kind)
             worst["rowsum"] = max(worst["rowsum"],
                                   float(np.abs(dense.row_sums() - 1.0).max()))
-            scan = propagate_direction(x.astype(dtype), gd.astype(dtype), d, kind)
+            gd_cast = gd.astype(dtype)
+            scan = propagate_direction(x.astype(dtype), gd_cast, d, kind)
             oracle = aff.oracle_propagate(x, gd, d, kind)
             scan_f64 = scan.astype(np.float64)
             if args.inject_fault == "scan-perturb":
@@ -125,6 +127,8 @@ def cmd_verify(args) -> int:
             radii = aff.step_spectra(gd, d, kind)
             if radii.size:
                 worst["spectra"] = max(worst["spectra"], float(radii.max()))
+            drift = np.abs(propagate_direction(const, gd_cast, d, kind) - 0.75)
+            worst["const"] = max(worst["const"], float(drift.max()))
 
         pooled = spn_forward(x.astype(dtype), gates.astype(dtype), kind,
                              units=2)[0].astype(np.float64)
@@ -135,13 +139,6 @@ def cmd_verify(args) -> int:
 
         rep = verify_stability(gates, kind)
         worst["stability"] = max(worst["stability"], rep.max_abs_sum)
-
-        const = np.full((h, w, args.channels), 0.75, dtype=dtype)
-        for d in Direction:
-            out = propagate_direction(const, gates[:, :, :, d, :].astype(dtype),
-                                      d, kind)
-            worst["const"] = max(worst["const"],
-                                 float(np.abs(out - 0.75).max()))
 
     log.record("boundary-contract", worst["boundary"],
                "all required gate zeros in place" if worst["boundary"]
@@ -270,8 +267,7 @@ def cmd_affinity(args) -> int:
     kind = NAME_TO_KIND[args.kind]
     d = NAME_TO_DIRECTION[args.direction]
     gates = random_gates(args.height, args.width, args.channels, kind, rng,
-                         low=-1.0, high=1.0)
-    gates = project_gates(gates, kind)
+                         low=-1.0, high=1.0, project=True)
     gd = gates[:, :, :, d, :]
     dense = aff.build_dense_affinity(gd, d, kind)
     resid = float(np.abs(dense.row_sums() - 1.0).max())

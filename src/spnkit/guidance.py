@@ -289,8 +289,7 @@ def guidance_forward(params: dict, arch: Architecture, image: np.ndarray,
     cache = {
         "convs": (c0, c1, c2, cd0, cd1, ch),
         "masks": (m0, m1, m2, md0, md1),
-        "sizes": (a2.shape, b1.shape, b0.shape, image.shape),
-        "raw_shape": raw.shape,
+        "sizes": (a2.shape, b1.shape, b0.shape),
     }
     return gates, cache
 
@@ -299,10 +298,10 @@ def guidance_backward(grad_gates: np.ndarray, cache: dict):
     """Parameter gradients of guidance_forward. The image gradient is not computed."""
     c0, c1, c2, cd0, cd1, ch = cache["convs"]
     m0, m1, m2, md0, md1 = cache["masks"]
-    a2_shape, b1_shape, b0_shape, img_shape = cache["sizes"]
+    a2_shape, b1_shape, b0_shape = cache["sizes"]
     grads = {}
 
-    graw = grad_gates.reshape(cache["raw_shape"])
+    graw = grad_gates.reshape(grad_gates.shape[:2] + (-1,))
     dfeat, grads["head.w"], grads["head.b"] = conv3x3_backward(graw, ch)
     db0 = resize_backward(dfeat, b0_shape[0], b0_shape[1])
 
@@ -341,13 +340,29 @@ def reject_directory(*paths) -> None:
                                   f"were; a checkpoint is now one {CHECKPOINT_FORMAT} file")
 
 
+def _meta_line(key, value) -> str:
+    """The header line of a `meta` entry; CheckpointError, naming the key,
+    unless `checkpoint_load` reads it back as exactly that pair."""
+    pair = (f"meta.{key}", str(value))
+    line = "=".join(pair)
+    try:
+        read = [(k, v) for _, k, v in read_key_values(key, CheckpointError, line.encode())]
+    except (CheckpointError, UnicodeEncodeError):
+        read = None
+    if read != [pair] or "\0" in line:  # a NUL would end the header
+        raise CheckpointError(f"meta key {key!r}: value {pair[1]!r} would not read back "
+                              "as written (a line break, '=' in the key, padding, or a NUL)")
+    return line
+
+
 def checkpoint_save(path, arch: Architecture, params: dict,
                     meta: dict | None = None) -> None:
     """Write one file: `key=value` lines (format, architecture, sorted `meta.*`),
     a NUL byte, and one flat tensor record of the parameters in sorted key
     order, in one dtype, shaped by `param_shapes(arch)`. It is written and fsynced as
     `.<name>.tmp` and moved onto `path` by one `os.replace`, so `path` holds a
-    whole checkpoint, old or new, at every moment; a failed save removes `.<name>.tmp`."""
+    whole checkpoint, old or new, at every moment; a failed save removes `.<name>.tmp`.
+    A `meta` entry that would not load as written is refused before any byte is written."""
     p = Path(path)
     reject_directory(p)
     shapes, dtype = param_shapes(arch), np.result_type(np.float32, *params.values())
@@ -356,7 +371,7 @@ def checkpoint_save(path, arch: Architecture, params: dict,
     if bad:  # missing, unexpected, mis-shaped, or of another dtype
         raise CheckpointError(f"parameters {bad} do not match param_shapes(arch) in {dtype}")
     lines = [f"format={CHECKPOINT_FORMAT}", *arch.to_lines(),
-             *(f"meta.{key}={value}" for key, value in sorted((meta or {}).items()))]
+             *(_meta_line(key, value) for key, value in sorted((meta or {}).items()))]
     tmp = p.with_name(f".{p.name}.tmp")
     try:
         write_array(tmp, np.concatenate([params[key].ravel() for key in sorted(shapes)]),

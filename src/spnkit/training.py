@@ -85,10 +85,6 @@ from .stability import (
 from .tensor import flush_subnormals, read_key_values
 
 
-# the architecture fields' defaults are `Architecture`'s, in their text form
-_ARCH = Architecture()
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a run needs; serializes to key=value lines."""
@@ -98,11 +94,11 @@ class TrainConfig:
     lr: float = 1e-4
     momentum: float = 0.9
     seed: int = 0
-    units: int = _ARCH.units
-    prop_channels: int = _ARCH.prop_channels
-    widths: str = FIELD_WRITERS["tuple"](_ARCH.widths)
-    scale: int = _ARCH.scale
-    kind: str = FIELD_WRITERS["ConnectionKind"](_ARCH.kind)
+    units: int = Architecture.units  # the architecture fields' defaults, as text
+    prop_channels: int = Architecture.prop_channels
+    widths: str = FIELD_WRITERS["tuple"](Architecture.widths)
+    scale: int = Architecture.scale
+    kind: str = FIELD_WRITERS["ConnectionKind"](Architecture.kind)
     post_gain: float = 3.0
     time_limit: float = 0.0
 
@@ -216,14 +212,13 @@ def pipeline_forward(params: dict, arch: Architecture, image: np.ndarray,
     low = resize_forward(coarse, gates.shape[0], gates.shape[1])
     zpre, cpre = conv3x3_forward(low, params["pre.w"], params["pre.b"], 1)
     apre, mpre = relu_forward(zpre)
-    hidden, scaches = spn_forward(apre, gates.astype(apre.dtype, copy=False),
-                                  arch.kind, arch.units, check=False)
+    hidden, scaches = spn_forward(apre, gates, arch.kind, arch.units, check=False)
     flush_subnormals(hidden)
     logits_low, cpost = conv3x3_forward(hidden, params["post.w"],
                                         params["post.b"], 1)
     logits = resize_forward(logits_low, h, w)
     cache = {
-        "gcache": gcache, "pcache": pcache, "kind": arch.kind,
+        "gcache": gcache, "pcache": pcache,
         "cpre": cpre, "mpre": mpre, "scaches": scaches, "cpost": cpost,
         "low_shape": logits_low.shape, "gates": gates,
     }
@@ -238,10 +233,9 @@ def pipeline_backward(grad_logits: np.ndarray, cache: dict) -> dict:
     flush_subnormals(dgates)
     dzpre = relu_backward(dapre, cache["mpre"])
     _, dprew, dpreb = conv3x3_backward(dzpre, cache["cpre"], need_dx=False)
-    dmasked = project_gates_backward(dgates, cache["pcache"])
-    # the pinned gates are constants, not guidance outputs
-    draw = zero_boundary(dmasked, cache["kind"]).astype(grad_logits.dtype,
-                                                        copy=False)
+    # spn_backward's +0 at the pinned gates (constants) survives the projection
+    draw = project_gates_backward(dgates, cache["pcache"]).astype(grad_logits.dtype,
+                                                                  copy=False)
     grads = guidance_backward(draw, cache["gcache"])
     grads["post.w"] = dpw
     grads["post.b"] = dpb
@@ -262,8 +256,17 @@ def pipeline_signature(cache: dict) -> bytes:
 def refine_sample(params: dict, arch: Architecture, image: np.ndarray,
                   coarse: np.ndarray, allowed=None):
     """Predict labels for one sample. Returns (pred (H, W) int32, gates):
-    the projected gates the prediction was made with."""
-    logits, cache = pipeline_forward(params, arch, image, coarse)
+    the projected gates the prediction was made with. Raises ContractError
+    on a non-finite logit: cascaded units can amplify the coarse map past
+    the float range, and its argmax would be a silent wrong answer."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        logits, cache = pipeline_forward(params, arch, image, coarse)
+    bad = ~np.isfinite(logits)
+    if bad.any():
+        at = tuple(int(v) for v in np.argwhere(bad)[0])
+        raise ContractError(_gate_abort_message(
+            f"non-finite logit {float(logits[at])} at (row, col, class)={at} after "
+            f"{arch.units} propagation unit(s)", cache["gates"], arch.kind))
     if allowed is not None:
         block = np.full(logits.shape[2], -np.inf, dtype=logits.dtype)
         block[np.asarray(sorted(allowed), dtype=int)] = 0.0
@@ -299,10 +302,10 @@ def coarse_iou(samples, classes: int) -> float:
     return acc.mean()
 
 
-def _gate_abort_message(loss, gates, kind) -> str:
+def _gate_abort_message(what: str, gates, kind) -> str:
     rep = verify_stability(gates, kind)
     finite = np.isfinite(gates).all()
-    return (f"non-finite loss {loss!r}; gate statistics: finite={finite}, "
+    return (f"{what}; gate statistics: finite={finite}, "
             f"min={np.nanmin(gates):.4g}, max={np.nanmax(gates):.4g}, {rep}")
 
 
@@ -352,7 +355,8 @@ def _sample_step(params, arch, sample):
     logits, cache = pipeline_forward(params, arch, image, coarse)
     loss, dlogits = softmax_xent(logits, labels)
     if not np.isfinite(loss):
-        raise TrainingAborted(_gate_abort_message(loss, cache["gates"], arch.kind))
+        raise TrainingAborted(_gate_abort_message(f"non-finite loss {loss!r}",
+                                                  cache["gates"], arch.kind))
     return loss, pipeline_backward(dlogits, cache)
 
 
@@ -434,6 +438,7 @@ class _SamplePool:
             self.executor = ProcessPoolExecutor(
                 self.workers, multiprocessing.get_context("fork"),
                 initializer=_start_worker)
+            before = set(multiprocessing.active_children())
             try:
                 # the executor forks at its first request: make it fork now,
                 # before the caller loads data, so fewer heap pages are
@@ -442,7 +447,7 @@ class _SamplePool:
             except BaseException:
                 # a failed fork leaves the workers forked before it waiting
                 # for requests that no manager thread will send
-                for proc in self.executor._processes.values():
+                for proc in set(multiprocessing.active_children()) - before:
                     proc.terminate()
                     proc.join()
                 self.executor.shutdown()

@@ -14,7 +14,9 @@ import spnkit
 from spnkit import cli
 from spnkit.cli import main
 from spnkit.dataset import gen_toy_dataset, labels_to_map, map_to_labels
-from spnkit.guidance import checkpoint_load, checkpoint_save
+from spnkit.guidance import Architecture, checkpoint_load, checkpoint_save
+from spnkit.propagation import ConnectionKind
+from spnkit.training import init_pipeline_params
 from spnkit.tensor import read_array, read_image_pnm, write_array, write_image_pnm
 
 
@@ -406,6 +408,26 @@ def test_refine_rejects_nonfinite_checkpoint(capsys, trained, tmp_path):
     assert rc == 2
     assert "post.b" in err and "non-finite" in err
     assert not pred.exists()
+
+
+@pytest.mark.parametrize("command", ["refine", "eval"])
+def test_non_finite_logits_exit_1(capsys, trained, tmp_path, command):
+    # 5000 cascaded one-way units amplify the coarse map past the float
+    # range: every logit is NaN, whose argmax was written as class 0
+    ds_dir, _ = trained
+    arch = Architecture(kind=ConnectionKind.ONE_WAY, units=5000)
+    ck = tmp_path / "ck"
+    checkpoint_save(ck, arch, init_pipeline_params(arch, np.random.default_rng(0)))
+    pred = tmp_path / "pred.pgm"
+    argv = {"refine": ["refine", "--checkpoint", str(ck), "--out", str(pred),
+                       "--image", str(ds_dir / "images" / "0009.ppm"),
+                       "--coarse", str(ds_dir / "coarse" / "0009.spnt")],
+            "eval": ["eval", "--checkpoint", str(ck), "--data", str(ds_dir)]}[command]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert err.startswith("check failed: non-finite logit nan at (row, col, class)=(0, 0, 0)")
+    assert "after 5000 propagation unit(s)" in err and "stable: max |gate| row sum" in err
+    assert "IoU" not in out and not pred.exists()
 
 
 def test_refine_rejects_truth_of_other_size(capsys, trained, tmp_path):

@@ -398,6 +398,25 @@ def test_checkpoint_roundtrip(tmp_path):
         assert params2[k].tobytes() == params[k].tobytes()
 
 
+@pytest.mark.parametrize("meta,key", [
+    ({"note": "a\nb"}, "note"),        # loaded as a line that is not key=value
+    ({"a=b": "1"}, "a=b"),              # loaded as {"a": "b=1"}
+    ({"note": " padded "}, "note"),     # loaded as "padded"
+    ({"note": "a\0b"}, "note"),        # the NUL ended the header
+    ({"note": "\ud800"}, "note"),      # not encodable as UTF-8: UnicodeEncodeError
+], ids=["line-break", "equals-in-key", "padding", "nul", "surrogate"])
+def test_checkpoint_save_refuses_meta_that_would_not_read_back(tmp_path, meta, key):
+    arch = small_arch()
+    old = init_params(arch, np.random.default_rng(19))
+    checkpoint_save(tmp_path / "ck", arch, old, meta={"epoch": 1})
+    before = (tmp_path / "ck").read_bytes()
+    with pytest.raises(CheckpointError, match=re.escape(f"meta key {key!r}")):
+        checkpoint_save(tmp_path / "ck", arch, init_params(arch, np.random.default_rng(20)),
+                        meta=meta)
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]  # no .ck.tmp
+    assert (tmp_path / "ck").read_bytes() == before
+
+
 def _split_checkpoint(path):
     """(header text, parameter record bytes) of a checkpoint file."""
     head, sep, record = path.read_bytes().partition(b"\0")

@@ -194,6 +194,22 @@ def test_dtype_parity_f32_f64():
     np.testing.assert_allclose(out32, out64, atol=1e-5)
 
 
+@pytest.mark.parametrize("x_dtype,gate_dtype", [(np.float64, np.float32),
+                                                  (np.float32, np.float64)])
+def test_spn_forward_casts_gates_as_astype_first(x_dtype, gate_dtype):
+    # the scan stack writes the gates into an array of the input's dtype:
+    # callers need not cast them first
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((6, 7, 2)).astype(x_dtype)
+    g = random_gates(6, 7, 2, THREE, rng, low=-0.4, high=0.4).astype(gate_dtype)
+    wts = rng.standard_normal(x.shape).astype(x_dtype)
+    out, caches = spn_forward(x, g, THREE, units=2)
+    ref, ref_caches = spn_forward(x, g.astype(x_dtype), THREE, units=2)
+    assert_same_bits(out, ref)
+    for a, b in zip(spn_backward(wts, caches), spn_backward(wts, ref_caches)):
+        assert_same_bits(a, b)
+
+
 def test_step_matrix_frozen():
     line = np.array([[0.0, 0.2, 0.3], [0.1, 0.4, 0.0]])
     w = step_matrix(line, THREE)

@@ -18,6 +18,7 @@ from spnkit.dataset import gen_toy_dataset, load_sample, load_split
 from spnkit.errors import ConfigError, ContractError, FormatError, TrainingAborted
 from spnkit.fdcheck import check_gradient
 from spnkit.guidance import Architecture, checkpoint_load
+from spnkit.propagation import zero_boundary
 from spnkit.training import (
     METRIC_FIELDS,
     IoUAccumulator,
@@ -229,6 +230,46 @@ def test_pipeline_leaves_no_subnormals(tmp_path, monkeypatch):
         assert not subnormal.any(), f"{subnormal.sum()} subnormal entries in {name}"
 
 
+def rezeroing_pipeline_backward(grad_logits, cache, kind):
+    """`pipeline_backward` as it was when it zeroed the pinned gates'
+    gradient again after the projection's backward."""
+    low_h, low_w, _ = cache["low_shape"]
+    g_low = training.resize_backward(grad_logits, low_h, low_w)
+    dhidden, dpw, dpb = training.conv3x3_backward(g_low, cache["cpost"])
+    dapre, dgates = training.spn_backward(dhidden, cache["scaches"])
+    training.flush_subnormals(dgates)
+    dzpre = training.relu_backward(dapre, cache["mpre"])
+    _, dprew, dpreb = training.conv3x3_backward(dzpre, cache["cpre"], need_dx=False)
+    dmasked = training.project_gates_backward(dgates, cache["pcache"])
+    draw = zero_boundary(dmasked, kind).astype(grad_logits.dtype, copy=False)
+    grads = training.guidance_backward(draw, cache["gcache"])
+    grads.update({"post.w": dpw, "post.b": dpb, "pre.w": dprew, "pre.b": dpreb})
+    return grads
+
+
+@pytest.mark.parametrize("kind", ["one", "three"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pipeline_backward_matches_rezeroing_reference(kind, seed):
+    # a large head makes the projection bind on many rows: the pinned raw
+    # gates are +0, so its backward leaves spn_backward's +0 there
+    arch = TrainConfig(prop_channels=3, widths="3,4,5", kind=kind).architecture(2)
+    rng = np.random.default_rng(seed)
+    params = init_pipeline_params(arch, rng)
+    params["head.w"] *= 200
+    image = rng.random((32, 32, 3)).astype(np.float32)
+    coarse = rng.random((32, 32, 2)).astype(np.float32)
+    coarse /= coarse.sum(axis=2, keepdims=True)
+    labels = rng.integers(0, 2, size=(32, 32)).astype(np.int32)
+    logits, cache = pipeline_forward(params, arch, image, coarse)
+    assert cache["pcache"][3].mean() > 0.3  # rows rescaled
+    dlogits = softmax_xent(logits, labels)[1]
+    grads = pipeline_backward(dlogits, cache)
+    ref = rezeroing_pipeline_backward(dlogits, cache, arch.kind)
+    assert sorted(grads) == sorted(ref)
+    for key in grads:
+        assert_same_bits(grads[key], ref[key])
+
+
 def test_iou_accumulator_frozen():
     acc = IoUAccumulator(2)
     pred = np.array([[0, 0], [1, 1]])
@@ -311,6 +352,15 @@ def test_train_smoke_and_artifacts(tiny_dataset, tmp_path):
     assert len(rows) == 2
     assert all(np.isfinite(float(r["loss"])) for r in rows)
     assert all(float(r["gate_max_abs_sum"]) <= 1.0 + 1e-6 for r in rows)
+
+
+def test_train_stops_at_its_time_limit_after_one_epoch(tiny_dataset, tmp_path):
+    out = tmp_path / "run"
+    res = train(tiny_config(epochs=3, time_limit=1e-9), tiny_dataset, out)
+    assert res.epochs_run == 1 and len(res.rows) == 1
+    with open(out / "metrics.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2  # the header and one epoch
+    assert (out / "best").is_file() and (out / "last").is_file()
 
 
 def test_train_zero_lr_repeats_metrics(tiny_dataset, tmp_path):
@@ -549,6 +599,7 @@ def test_pool_stops_its_workers_when_a_fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(OSError, match="no more processes"):
         training._SamplePool(3)
+    assert not multiprocessing.active_children()
 
 
 def _running(pid: int) -> bool:
