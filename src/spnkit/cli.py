@@ -8,14 +8,13 @@ The `verify` and `gradcheck` commands accept deliberate fault injections
 checks catch the planted defect is itself part of the verification story.
 
 `main` sets glibc's allocator to serve allocations below 32 MiB from the heap
-and to keep freed memory mapped, so repeated requests in one process reuse
-pages instead of faulting in freshly zeroed ones; library calls leave the
-host process's allocator alone.
+and to keep freed memory mapped (`training.keep_freed_memory`), so repeated
+requests in one process reuse pages instead of faulting in freshly zeroed
+ones; library calls leave the host process's allocator alone.
 """
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import math
 import sys
@@ -507,37 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-M_TRIM_THRESHOLD = -1  # glibc <malloc.h> mallopt parameter numbers
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 32 << 20  # glibc's largest accepted mmap threshold on 64-bit
-# The smallest value tried: with it, repeated refine requests at 64x64 to
-# 256x256 took no page faults; 48 to 128 MiB did no better at 128x128.
-TRIM_THRESHOLD = MMAP_THRESHOLD
-
-
-@functools.cache  # the policy is per process; later calls change nothing
-def keep_freed_memory() -> bool:
-    """Fix glibc's mmap and trim thresholds for this process.
-
-    Under glibc's dynamic thresholds, the conv and resize temporaries of a
-    request are mmapped or trimmed back to the kernel when freed, so every
-    request pays a page fault per page it touches. Both thresholds are set:
-    setting one turns the dynamic policy off for both. Returns whether both
-    were set; where the C library has no ``mallopt`` or rejects the first
-    value, the allocator is left as it was.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 0
-            and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) != 0)
-
-
 def main(argv=None) -> int:
-    keep_freed_memory()
+    tr.keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

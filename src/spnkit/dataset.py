@@ -6,6 +6,17 @@ probability map made by pushing the one-hot labels down to a low resolution
 and back up. The refinement task is to recover the crisp labels from the
 coarse map using the image.
 
+Each shape is tested only on a window: its centre ± R (R the ellipse's
+larger semi-axis, or the polygon's largest vertex radius), widened by one
+pixel for rounding and clipped to the image. Every point of an ellipse, and
+every point on the left of all of a polygon's edges (winding number >= 1, so
+in the vertices' hull), lies within R of the centre. No supersample point
+outside the window is covered, so the blend would leave the image and the
+labels unchanged there. Coverage is a pixel's integer count of covered
+supersample points over s*s, exactly the mean of its booleans. A windowed
+render thus has the bytes of one over the whole grid; `tests/test_dataset.py`
+pins the two against each other.
+
 On disk a dataset is a directory of numbered PPM images, PGM label masks,
 and coarse tensors, plus a manifest with per-file sha256 digests so corrupted
 or regenerated files are detectable.
@@ -50,16 +61,32 @@ def _pixel_grid(size: int):
     return coords[:, None], coords[None, :]
 
 
-def _coverage(indicator: np.ndarray, size: int) -> np.ndarray:
+def _window(yy, xx, cy: float, cx: float, reach: float, size: int):
+    """The pixels within `reach` of (cy, cx), widened by one pixel and clipped
+    to the image: ((rows, cols) slices, its supersample ys, its xs)."""
     s = _SUPERSAMPLE
-    return indicator.reshape(size, s, size, s).mean(axis=(1, 3))
+    y0, x0 = (max(int(np.floor(c - reach)) - 1, 0) for c in (cy, cx))
+    y1, x1 = (min(int(np.ceil(c + reach)) + 1, size) for c in (cy, cx))
+    return ((slice(y0, y1), slice(x0, x1)),
+            yy[y0 * s:y1 * s], xx[:, x0 * s:x1 * s])
+
+
+def _coverage(inside: np.ndarray) -> np.ndarray:
+    """Each pixel's count of supersample points inside, over s*s: exactly the
+    mean of the s*s booleans."""
+    s = _SUPERSAMPLE
+    h, w = inside.shape[0] // s, inside.shape[1] // s
+    rows = inside.view(np.uint8).reshape(h, s, w, s).sum(axis=1, dtype=np.uint8)
+    return sum(rows[:, :, j] for j in range(s)) / (s * s)
 
 
 def _ellipse(yy, xx, rng, size):
+    """Draw an ellipse: (its window, which of the window's points it covers)."""
     cy, cx = rng.uniform(0.25 * size, 0.75 * size, size=2)
     a = rng.uniform(size / 7, size / 3.2)
     b = rng.uniform(size / 7, size / 3.2)
     th = rng.uniform(0, np.pi)
+    window, yy, xx = _window(yy, xx, cy, cx, max(a, b), size)
     dy, dx = yy - cy, xx - cx
     u = dy * np.cos(th) + dx * np.sin(th)
     v = -dy * np.sin(th) + dx * np.cos(th)
@@ -68,22 +95,25 @@ def _ellipse(yy, xx, rng, size):
     v /= b
     v *= v
     u += v
-    return u <= 1.0
+    return window, u <= 1.0
 
 
 def _convex_polygon(yy, xx, rng, size):
+    """Draw a polygon: (its window, which of the window's points it covers)."""
     cy, cx = rng.uniform(0.25 * size, 0.75 * size, size=2)
     n = int(rng.integers(3, 7))
     angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
     radii = rng.uniform(size / 6, size / 3, size=n)
     py = cy + radii * np.sin(angles)
     px = cx + radii * np.cos(angles)
+    window, yy, xx = _window(yy, xx, cy, cx, radii.max(), size)
     inside = np.ones((yy.shape[0], xx.shape[1]), dtype=bool)
     for i in range(n):
         j = (i + 1) % n
-        cross = (px[j] - px[i]) * (yy - py[i]) - (py[j] - py[i]) * (xx - px[i])
-        inside &= cross >= 0.0
-    return inside
+        # the edge's cross product a - b is >= 0 exactly when a >= b: with
+        # gradual underflow, a - b rounds to 0 only when a == b
+        inside &= (px[j] - px[i]) * (yy - py[i]) >= (py[j] - py[i]) * (xx - px[i])
+    return window, inside
 
 
 def _check_sample_args(size: int, classes: int) -> None:
@@ -106,11 +136,14 @@ def render_sample(rng: np.random.Generator, size: int, classes: int):
         for _ in range(int(rng.integers(2, 5))):
             cls = int(rng.integers(1, classes))
             shape_fn = _ellipse if rng.random() < 0.5 else _convex_polygon
-            cov = _coverage(shape_fn(yy, xx, rng, size), size)
+            window, inside = shape_fn(yy, xx, rng, size)
+            cov = _coverage(inside)
             color = np.array(PALETTE[cls - 1]) * rng.uniform(0.85, 1.15)
-            image = image * (1.0 - cov[:, :, None]) + color * cov[:, :, None]
-            labels = np.where(cov > 0.5, np.int32(cls), labels)
-        if len(np.unique(labels)) >= 2:
+            patch = image[window]
+            patch *= 1.0 - cov[:, :, None]
+            patch += color * cov[:, :, None]
+            labels[window][cov > 0.5] = cls
+        if labels.min() < labels.max():
             break
     image += rng.normal(0.0, 0.02, size=image.shape)
     return np.clip(image, 0.0, 1.0).astype(np.float32), labels
@@ -207,12 +240,12 @@ def gen_toy_dataset(root, n_train: int, n_val: int, size: int, classes: int,
         image, labels = render_sample(rng, size, classes)
         coarse = make_coarse(labels, classes, coarse_factor, coarse_blur)
         ipath, mpath, cpath = _item_paths(root, index)
-        write_image_pnm(ipath, image)
-        write_image_pnm(mpath, labels_to_map(labels))
-        write_array(cpath, coarse)
+        written = (write_image_pnm(ipath, image),
+                   write_image_pnm(mpath, labels_to_map(labels)),
+                   write_array(cpath, coarse))
         split = "train" if index < n_train else "val"
-        lines.append(f"item.{index:04d}={split},{_sha256(ipath)},"
-                     f"{_sha256(mpath)},{_sha256(cpath)}")
+        digests = ",".join(hashlib.sha256(data).hexdigest() for data in written)
+        lines.append(f"item.{index:04d}={split},{digests}")
     (root / "manifest.txt").write_text("\n".join(lines) + "\n")
     return meta
 

@@ -100,8 +100,9 @@ def resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.matmul(rw, tmp.reshape(out_h, w, c)).astype(arr.dtype, copy=False)
 
 
-def write_array(path, arr: np.ndarray, prefix: bytes = b"") -> None:
-    """Write `prefix`, then the array as a tensor container record (bit-exact round trip)."""
+def write_array(path, arr: np.ndarray, prefix: bytes = b"") -> bytes:
+    """Write `prefix`, then the array as a tensor container record (bit-exact
+    round trip); returns the bytes written."""
     arr = np.ascontiguousarray(arr)
     code = _DTYPE_TO_CODE.get(arr.dtype)
     if code is None:
@@ -113,7 +114,9 @@ def write_array(path, arr: np.ndarray, prefix: bytes = b"") -> None:
     header = _MAGIC + bytes([_VERSION, code, arr.ndim])
     dims = np.asarray(arr.shape, dtype="<u4").tobytes()
     payload = arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes()
-    Path(path).write_bytes(prefix + header + dims + payload)
+    data = prefix + header + dims + payload
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_array(source) -> np.ndarray:
@@ -269,8 +272,9 @@ def read_image_pnm(path) -> np.ndarray:
     return image
 
 
-def write_image_pnm(path, image) -> None:
-    """Write a 1-channel image as PGM or a 3-channel image as PPM, maxval 255.
+def write_image_pnm(path, image) -> bytes:
+    """Write a 1-channel image as PGM or a 3-channel image as PPM, maxval 255;
+    returns the bytes written.
 
     Values are clamped to [0, 1] and quantized; a second read/write cycle is
     then exact.
@@ -285,4 +289,6 @@ def write_image_pnm(path, image) -> None:
         raise DimensionError(f"PNM images need 1 or 3 channels, map has {channels}")
     q = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"{magic}\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + q.tobytes())
+    data = header + q.tobytes()
+    Path(path).write_bytes(data)
+    return data

@@ -34,10 +34,11 @@ worker's exception, `TrainingAborted` included, is raised here with the
 worker's traceback as its `__cause__`, and a dead worker raises
 `BrokenProcessPool`. The batch's gradients are summed here in batch order,
 so the results do not depend on the number of processes. With workers, the
-executor's manager and queue feeder threads run in this process. While
-`train` runs, the loaded OpenBLAS is held to one thread per process; where
-that cannot be done, there is no `fork`, or other Python threads run,
-training stays in this process.
+executor's manager and queue feeder threads run in this process. A worker
+fixes its own allocator policy (`keep_freed_memory`); this process keeps the
+caller's. While `train` runs, the loaded OpenBLAS is held to one thread per
+process; where that cannot be done, there is no `fork`, or other Python
+threads run, training stays in this process.
 """
 from __future__ import annotations
 
@@ -56,7 +57,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import load_sample, load_split
-from .errors import ConfigError, ContractError, TrainingAborted, require_at_least
+from .errors import (ConfigError, ContractError, DimensionError, TrainingAborted,
+                     require_at_least)
 from .guidance import (
     FIELD_PARSERS,
     FIELD_WRITERS,
@@ -145,7 +147,10 @@ class TrainConfig:
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """Mean per-pixel cross entropy. Returns (loss, dlogits)."""
+    """Mean per-pixel cross entropy of labels in [0, classes). Returns
+    (loss, dlogits)."""
+    if labels.min() < 0 or labels.max() >= logits.shape[2]:
+        raise DimensionError("label values outside [0, classes)")
     z = logits.astype(np.float64)
     # the row max as a fold over the class slices: exact, so the bits of
     # z.max(axis=2) without its reduction over a short axis (a NaN row's
@@ -158,12 +163,16 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     denom = ez.sum(axis=2, keepdims=True)
     logp = z - np.log(denom)
     n = labels.size
-    picked = np.take_along_axis(logp, labels[:, :, None].astype(np.intp), axis=2)
-    loss = -picked.sum() / n
     grad = ez / denom
-    rows = np.arange(labels.shape[0])[:, None]
-    cols = np.arange(labels.shape[1])[None, :]
-    grad[rows, cols, labels] -= 1.0
+    # the label's log-probability and the -1 on its gradient by one mask per
+    # class: the bits of a per-pixel gather without numpy's slow gather paths
+    picked = logp[:, :, 0]
+    for c in range(z.shape[2]):
+        hit = labels == c
+        if c:
+            picked = np.where(hit, logp[:, :, c], picked)
+        grad[:, :, c] -= hit
+    loss = -picked.sum() / n
     grad /= n
     return float(loss), grad.astype(logits.dtype)
 
@@ -480,11 +489,44 @@ def _map_share(fn, share) -> list:
 PR_SET_PDEATHSIG = 1  # Linux <sys/prctl.h>
 
 
+M_TRIM_THRESHOLD = -1  # glibc <malloc.h> mallopt parameter numbers
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20  # glibc's largest accepted mmap threshold on 64-bit
+# The smallest value tried: with it, repeated refine requests at 64x64 to
+# 256x256 took no page faults; 48 to 128 MiB did no better at 128x128.
+TRIM_THRESHOLD = MMAP_THRESHOLD
+
+
+@functools.cache  # the policy is per process; later calls change nothing
+def keep_freed_memory() -> bool:
+    """Fix glibc's mmap and trim thresholds for this process: `cli.main`'s
+    and each training worker's, never a library caller's.
+
+    Under glibc's dynamic thresholds, the conv and resize temporaries of a
+    request are mmapped or trimmed back to the kernel when freed, so every
+    request pays a page fault per page it touches. Both thresholds are set:
+    setting one turns the dynamic policy off for both. Returns whether both
+    were set; where the C library has no ``mallopt`` or rejects the first
+    value, the allocator is left as it was.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 0
+            and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) != 0)
+
+
 def _start_worker() -> None:
     """Leave ^C to the parent, and end with it: a worker whose parent was
     killed would wait on the executor's queue forever. The death signal is
-    Linux's; elsewhere only the check below runs."""
+    Linux's; elsewhere only the check below runs. A worker is spnkit's own
+    process, so it also fixes its allocator: the dynamic thresholds it
+    inherits depend on what the caller freed before `train`."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    keep_freed_memory()
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int

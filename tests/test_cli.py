@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spnkit
-from spnkit import cli
+from spnkit import cli, training
 from spnkit.cli import main
 from spnkit.dataset import gen_toy_dataset, labels_to_map, map_to_labels
 from spnkit.guidance import Architecture, checkpoint_load, checkpoint_save
@@ -856,16 +856,16 @@ def test_allocator_policy_fallback_and_once_per_process(capsys, monkeypatch, lib
             raise OSError("no C library")
         return SimpleNamespace() if libc == "no mallopt" else SimpleNamespace(mallopt=mallopt)
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    cli.keep_freed_memory.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    training.keep_freed_memory.cache_clear()
     try:
         for _ in range(2):
             assert run(capsys, "verify", "--trials", "1")[0] == 0
-        assert cli.keep_freed_memory() is (libc == 1)
+        assert training.keep_freed_memory() is (libc == 1)
     finally:
-        cli.keep_freed_memory.cache_clear()
+        training.keep_freed_memory.cache_clear()
     # a rejected first value stops before the second; either way, once
-    expected = [(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD),
-                (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD)]
+    expected = [(training.M_MMAP_THRESHOLD, training.MMAP_THRESHOLD),
+                (training.M_TRIM_THRESHOLD, training.TRIM_THRESHOLD)]
     expected = {0: expected[:1], 1: expected}.get(libc, [])
     assert calls == expected

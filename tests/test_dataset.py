@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from spnkit import dataset
 from spnkit.dataset import (
     MAX_CLASSES,
+    PALETTE,
     gen_toy_dataset,
     load_sample,
     load_split,
@@ -77,6 +79,104 @@ def test_gen_dataset_bytes_pinned(tmp_path, case):
     assert digest.hexdigest() == TREE_DIGESTS[case]
 
 
+def full_grid_render(rng, size, classes):
+    """`render_sample` as it was before windowed shapes: every shape tested on
+    the whole supersampled grid, coverage the mean of its booleans, and the
+    blend over the whole image."""
+    s = 4
+    coords = (np.arange(size * s) + 0.5) / s
+    yy, xx = coords[:, None], coords[None, :]
+
+    def ellipse():
+        cy, cx = rng.uniform(0.25 * size, 0.75 * size, size=2)
+        a = rng.uniform(size / 7, size / 3.2)
+        b = rng.uniform(size / 7, size / 3.2)
+        th = rng.uniform(0, np.pi)
+        dy, dx = yy - cy, xx - cx
+        u = dy * np.cos(th) + dx * np.sin(th)
+        v = -dy * np.sin(th) + dx * np.cos(th)
+        u /= a
+        u *= u
+        v /= b
+        v *= v
+        u += v
+        return u <= 1.0
+
+    def convex_polygon():
+        cy, cx = rng.uniform(0.25 * size, 0.75 * size, size=2)
+        n = int(rng.integers(3, 7))
+        angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+        radii = rng.uniform(size / 6, size / 3, size=n)
+        py = cy + radii * np.sin(angles)
+        px = cx + radii * np.cos(angles)
+        inside = np.ones((yy.shape[0], xx.shape[1]), dtype=bool)
+        for i in range(n):
+            j = (i + 1) % n
+            cross = (px[j] - px[i]) * (yy - py[i]) - (py[j] - py[i]) * (xx - px[i])
+            inside &= cross >= 0.0
+        return inside
+
+    for _ in range(32):
+        base = rng.uniform(0.08, 0.22)
+        image = np.full((size, size, 3), base, dtype=np.float64)
+        labels = np.zeros((size, size), dtype=np.int32)
+        for _ in range(int(rng.integers(2, 5))):
+            cls = int(rng.integers(1, classes))
+            shape_fn = ellipse if rng.random() < 0.5 else convex_polygon
+            cov = shape_fn().reshape(size, s, size, s).mean(axis=(1, 3))
+            color = np.array(PALETTE[cls - 1]) * rng.uniform(0.85, 1.15)
+            image = image * (1.0 - cov[:, :, None]) + color * cov[:, :, None]
+            labels = np.where(cov > 0.5, np.int32(cls), labels)
+        if len(np.unique(labels)) >= 2:
+            break
+    image += rng.normal(0.0, 0.02, size=image.shape)
+    return np.clip(image, 0.0, 1.0).astype(np.float32), labels
+
+
+# (size, seeds): 312 samples, classes 2..8 in turn; most windows cross the border
+WINDOW_CASES = ((8, 100), (9, 100), (33, 56), (64, 28), (127, 14), (128, 14))
+
+
+def window_mismatches(cases):
+    """Seeded (size, classes, seed) whose render differs from the full grid's."""
+    bad = []
+    for size, seeds in cases:
+        for seed in range(seeds):
+            classes = 2 + seed % 7
+            got = render_sample(np.random.default_rng(seed), size, classes)
+            want = full_grid_render(np.random.default_rng(seed), size, classes)
+            if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
+                bad.append((size, classes, seed))
+    return bad
+
+
+def test_windowed_render_matches_full_grid(monkeypatch):
+    window = dataset._window
+    clipped = []
+
+    def spy(yy, xx, cy, cx, reach, size):
+        clipped.append(min(cy, cx) - reach < 0 or max(cy, cx) + reach > size)
+        return window(yy, xx, cy, cx, reach, size)
+
+    monkeypatch.setattr(dataset, "_window", spy)
+    assert window_mismatches(WINDOW_CASES) == []
+    assert 0 < sum(clipped) < len(clipped)
+
+
+def test_window_without_margin_misses_coverage(monkeypatch):
+    # the near miss: no one-pixel margin and 0.9 of the reach
+    s = dataset._SUPERSAMPLE
+
+    def tight(yy, xx, cy, cx, reach, size):
+        y0, x0 = (max(int(np.floor(c - 0.9 * reach)), 0) for c in (cy, cx))
+        y1, x1 = (min(int(np.ceil(c + 0.9 * reach)), size) for c in (cy, cx))
+        return ((slice(y0, y1), slice(x0, x1)),
+                yy[y0 * s:y1 * s], xx[:, x0 * s:x1 * s])
+
+    monkeypatch.setattr(dataset, "_window", tight)
+    assert window_mismatches([(33, 10)])
+
+
 def test_render_sample_rejects_bad_args():
     rng = np.random.default_rng(1)
     with pytest.raises(ConfigError):
@@ -134,6 +234,16 @@ def test_gen_dataset_layout_and_manifest(tmp_path):
     assert m["size"] == "24" and len(items) == 5
     train, val, _ = load_split(root)
     assert train == [0, 1, 2] and val == [3, 4]
+    assert verify_dataset(root) == 5
+
+
+def test_gen_dataset_hashes_the_bytes_it_wrote(tmp_path, monkeypatch):
+    def read_back(path):
+        raise AssertionError(f"gen_toy_dataset read {path} back")
+
+    monkeypatch.setattr(dataset, "_sha256", read_back)
+    _, root = make_ds(tmp_path)
+    monkeypatch.undo()
     assert verify_dataset(root) == 5
 
 

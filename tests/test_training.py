@@ -15,7 +15,8 @@ import pytest
 
 import spnkit.training as training
 from spnkit.dataset import gen_toy_dataset, load_sample, load_split
-from spnkit.errors import ConfigError, ContractError, FormatError, TrainingAborted
+from spnkit.errors import (ConfigError, ContractError, DimensionError, FormatError,
+                           TrainingAborted)
 from spnkit.fdcheck import check_gradient
 from spnkit.guidance import Architecture, checkpoint_load
 from spnkit.propagation import zero_boundary
@@ -57,6 +58,14 @@ def test_softmax_xent_overflow_safe():
     assert loss < 1e-3
 
 
+@pytest.mark.parametrize("label", [-1, 2])
+def test_softmax_xent_rejects_labels_outside_the_classes(label):
+    labels = np.zeros((3, 3), dtype=np.int32)
+    labels[1, 2] = label
+    with pytest.raises(DimensionError, match=r"outside \[0, classes\)"):
+        softmax_xent(np.zeros((3, 3, 2)), labels)
+
+
 def test_softmax_xent_grad_fd():
     rng = np.random.default_rng(0)
     logits = rng.standard_normal((4, 5, 3))
@@ -67,8 +76,11 @@ def test_softmax_xent_grad_fd():
     assert res.max_rel_err < 1e-7, str(res)
 
 
-def reduce_softmax_xent(logits, labels, class_sum=lambda ez: ez.sum(axis=2, keepdims=True)):
-    """The loss with the row max as a reduction: what `softmax_xent` replaced."""
+def reduce_softmax_xent(logits, labels, class_sum=lambda ez: ez.sum(axis=2, keepdims=True),
+                        late_label=False):
+    """The loss with the row max as a reduction and the label's terms by
+    per-pixel gathers: what `softmax_xent`'s fold and masks replaced. With
+    `late_label`, the label's -1/n lands after the division (a near miss)."""
     z = logits.astype(np.float64)
     z -= z.max(axis=2, keepdims=True)
     ez = np.exp(z)
@@ -80,8 +92,12 @@ def reduce_softmax_xent(logits, labels, class_sum=lambda ez: ez.sum(axis=2, keep
     grad = ez / denom
     rows = np.arange(labels.shape[0])[:, None]
     cols = np.arange(labels.shape[1])[None, :]
-    grad[rows, cols, labels] -= 1.0
-    grad /= n
+    if late_label:
+        grad /= n
+        grad[rows, cols, labels] -= 1.0 / n
+    else:
+        grad[rows, cols, labels] -= 1.0
+        grad /= n
     return float(loss), grad.astype(logits.dtype)
 
 
@@ -94,15 +110,17 @@ def in_order_class_sum(ez):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_xent_matches_reduction(dtype):
-    # the folded row max against the reduction it replaced, bit for bit,
-    # with ties, signed zeros, +-inf, NaN and large logits (a -NaN logit may
-    # give NaN gradients of the other sign, under a NaN loss that aborts
-    # training before they are used); adding the classes in
-    # order in place of the kept sum reduction differs from 8 classes on
-    # (seen in float64; the cast to float32 rounds it away here)
+    # the folded row max and the per-class label masks against the reduction
+    # and the gathers they replaced, bit for bit, with ties, signed zeros,
+    # +-inf, NaN and large logits, and every class some pixel's label (a -NaN
+    # logit may give NaN gradients of the other sign, under a NaN loss that
+    # aborts training before they are used); adding the classes in order in
+    # place of the kept sum reduction differs from 8 classes on (seen in
+    # float64; the cast to float32 rounds it away here), and so does
+    # subtracting the label's 1/n after the division, for some class count
     rng = np.random.default_rng(31)
-    near_miss = []
-    for classes in (2, 3, 7, 8, 9, 16):
+    near_miss, late_miss = [], []
+    for classes in (2, 3, 4, 5, 6, 7, 8, 9, 16):
         logits = (rng.standard_normal((9, 11, classes)) * 4).astype(dtype)
         logits[0, :, :] = 0.0
         logits[0, ::2, 0] = -0.0
@@ -112,6 +130,7 @@ def test_softmax_xent_matches_reduction(dtype):
         logits[4, 0, 0] = np.nan  # the loss is NaN from here on
         logits[5, 1, -1] = np.inf
         labels = rng.integers(0, classes, size=logits.shape[:2]).astype(np.int32)
+        labels.flat[66:66 + classes] = np.arange(classes)  # from row 6 on
         with np.errstate(invalid="ignore"):
             loss, grad = softmax_xent(logits, labels)
             want_loss, want_grad = reduce_softmax_xent(logits, labels)
@@ -119,7 +138,16 @@ def test_softmax_xent_matches_reduction(dtype):
         assert_same_bits(np.float64(loss), np.float64(want_loss))
         assert_same_bits(grad, want_grad)
         near_miss.append(fold_grad.tobytes() != want_grad.tobytes())
-    assert near_miss == ([False] * 3 + [dtype == np.float64] * 3)
+        finite = [0, 1, 3, 6, 7, 8]  # the rows of a finite loss
+        loss, grad = softmax_xent(logits[finite], labels[finite])
+        want_loss, want_grad = reduce_softmax_xent(logits[finite], labels[finite])
+        _, late_grad = reduce_softmax_xent(logits[finite], labels[finite], late_label=True)
+        assert np.isfinite(want_loss)
+        assert_same_bits(np.float64(loss), np.float64(want_loss))
+        assert_same_bits(grad, want_grad)
+        late_miss.append(late_grad.tobytes() != want_grad.tobytes())
+    assert near_miss == ([False] * 6 + [dtype == np.float64] * 3)
+    assert any(late_miss) == (dtype == np.float64)
 
 
 def test_sgd_step_frozen():
@@ -600,6 +628,19 @@ def test_pool_stops_its_workers_when_a_fork_fails(monkeypatch):
     with pytest.raises(OSError, match="no more processes"):
         training._SamplePool(3)
     assert not multiprocessing.active_children()
+
+
+def _allocator_fixed(_) -> int:
+    return training.keep_freed_memory.cache_info().currsize
+
+
+@needs_workers
+def test_pool_workers_fix_their_allocator_and_the_caller_keeps_its_own():
+    # `keep_freed_memory` caches its one call per process: each worker made
+    # it before its first request, and the caller, a library user, did not
+    training.keep_freed_memory.cache_clear()
+    with training._SamplePool(2) as pool:
+        assert pool.map(_allocator_fixed, [0, 1]) == [0, 1]
 
 
 def _running(pid: int) -> bool:
