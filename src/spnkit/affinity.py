@@ -34,7 +34,9 @@ MAX_ORACLE_PIXELS = 400
 
 
 def check_dense_size(height: int, width: int) -> None:
-    """Raise DimensionError if an (H, W) grid exceeds the dense cap."""
+    """Raise DimensionError if an (H, W) grid is empty or exceeds the dense cap."""
+    if height < 1 or width < 1:
+        raise DimensionError("grid dimensions must be >= 1")
     total = height * width
     if total > MAX_ORACLE_PIXELS:
         raise DimensionError(
@@ -86,6 +88,16 @@ class DenseAffinity:
     def row_sums(self) -> np.ndarray:
         return self.G.sum(axis=2)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """G applied to an (H, W, C) grid, channel by channel, in float64."""
+        if x.shape != (self.height, self.width, self.channels):
+            raise DimensionError("input and gate grids disagree")
+        v = vec_map(x.astype(np.float64), self.direction)
+        out = np.empty_like(v)
+        for c in range(self.channels):
+            out[:, c] = self.G[c] @ v[:, c]
+        return unvec_map(out, self.height, self.width, self.direction)
+
 
 def _dense_scan_gates(gates_dir: np.ndarray, direction: Direction,
                       kind: ConnectionKind) -> np.ndarray:
@@ -128,27 +140,15 @@ def build_dense_affinity(gates_dir: np.ndarray, direction: Direction,
 def oracle_propagate(x: np.ndarray, gates_dir: np.ndarray, direction: Direction,
                      kind: ConnectionKind) -> np.ndarray:
     """Propagate through the dense transform. Always computes in float64."""
-    if x.shape != gates_dir.shape[:3]:
-        raise DimensionError("input and gate grids disagree")
-    aff = build_dense_affinity(gates_dir, direction, kind)
-    v = vec_map(x.astype(np.float64), direction)
-    out = np.empty_like(v)
-    for c in range(aff.channels):
-        out[:, c] = aff.G[c] @ v[:, c]
-    return unvec_map(out, aff.height, aff.width, direction)
+    return build_dense_affinity(gates_dir, direction, kind).apply(x)
 
 
-def oracle_spn_forward(x: np.ndarray, gate_data: np.ndarray,
-                       kind: ConnectionKind, units: int) -> np.ndarray:
-    """`spn_forward` through the dense transforms, in float64.
-
-    Each unit propagates every direction with `oracle_propagate` and takes
-    the node-wise max over directions; the next unit reads the pooled map.
-    """
+def oracle_spn_forward(x: np.ndarray, dense, units: int) -> np.ndarray:
+    """`spn_forward` in float64 through `dense`, the four directions'
+    `DenseAffinity`s: each unit pools their outputs by node-wise max."""
     cur = x
     for _ in range(units):
-        cur = np.max([oracle_propagate(cur, gate_data[:, :, :, d, :], d, kind)
-                      for d in Direction], axis=0)
+        cur = np.max([a.apply(cur) for a in dense], axis=0)
     return cur
 
 

@@ -59,8 +59,7 @@ from .stability import (
     project_gates_cached,
     verify_stability,
 )
-from .tensor import (read_array, read_image_pnm, require_finite, write_array,
-                     write_image_pnm)
+from .tensor import read_array, read_image_pnm, write_array, write_image_pnm
 
 class CheckLog:
     """Collects named pass/fail lines and remembers the overall verdict."""
@@ -110,14 +109,15 @@ def cmd_verify(args) -> int:
 
         x = rng.standard_normal((h, w, args.channels))
         const = np.full((h, w, args.channels), 0.75, dtype=dtype)
+        dense = [aff.build_dense_affinity(gates[:, :, :, d, :], d, kind)
+                 for d in Direction]
         for d in Direction:
             gd = gates[:, :, :, d, :]
-            dense = aff.build_dense_affinity(gd, d, kind)
             worst["rowsum"] = max(worst["rowsum"],
-                                  float(np.abs(dense.row_sums() - 1.0).max()))
+                                  float(np.abs(dense[d].row_sums() - 1.0).max()))
             gd_cast = gd.astype(dtype)
             scan = propagate_direction(x.astype(dtype), gd_cast, d, kind)
-            oracle = aff.oracle_propagate(x, gd, d, kind)
+            oracle = dense[d].apply(x)
             scan_f64 = scan.astype(np.float64)
             if args.inject_fault == "scan-perturb":
                 scan_f64 = scan_f64 + 100.0 * scan_tol
@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
         if args.inject_fault == "scan-perturb":
             pooled = pooled + 100.0 * scan_tol
         worst["pooled"] = max(worst["pooled"], float(np.abs(
-            pooled - aff.oracle_spn_forward(x, gates, kind, 2)).max()))
+            pooled - aff.oracle_spn_forward(x, dense, 2)).max()))
 
         rep = verify_stability(gates, kind)
         worst["stability"] = max(worst["stability"], rep.max_abs_sum)
@@ -253,14 +253,8 @@ def cmd_gradcheck(args) -> int:
     return 0 if log.ok else 1
 
 
-def _check_grid(args) -> None:
-    if args.height < 1 or args.width < 1:
-        raise DimensionError("grid dimensions must be >= 1")
-    aff.check_dense_size(args.height, args.width)  # before any gate is built
-
-
 def cmd_affinity(args) -> int:
-    _check_grid(args)
+    aff.check_dense_size(args.height, args.width)  # before any gate is built
     require_at_least(("--channels", args.channels, 1), ("--seed", args.seed, 0))
     rng = np.random.default_rng(args.seed)
     kind = NAME_TO_KIND[args.kind]
@@ -297,7 +291,7 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_impulse(args) -> int:
-    _check_grid(args)
+    aff.check_dense_size(args.height, args.width)  # before any gate is built
     require_at_least(("--gate-value", args.gate_value, -np.inf))
     kind = NAME_TO_KIND[args.kind]
     d = NAME_TO_DIRECTION[args.direction]
@@ -381,28 +375,12 @@ def cmd_refine(args) -> int:
     arch, params, _ = checkpoint_load(args.checkpoint)
     image = read_image_pnm(args.image)
     coarse = read_array(args.coarse)
-    if coarse.ndim != 3 or coarse.shape[2] != arch.classes:
-        raise DimensionError(
-            f"coarse map shaped {coarse.shape}, checkpoint wants "
-            f"{arch.classes} classes")
-    if coarse.shape[:2] != image.shape[:2]:
-        raise DimensionError(
-            f"coarse map is {coarse.shape[0]}x{coarse.shape[1]}, image is "
-            f"{image.shape[0]}x{image.shape[1]}")
-    require_finite(coarse, f"coarse map {args.coarse}")
-    if args.truth:
-        truth = ds.map_to_labels(read_image_pnm(args.truth), f"truth mask {args.truth}")
-        if truth.shape != image.shape[:2]:
-            raise DimensionError(
-                f"truth mask is {truth.shape[0]}x{truth.shape[1]}, image is "
-                f"{image.shape[0]}x{image.shape[1]}")
-        if truth.max() >= arch.classes:
-            raise DimensionError(
-                f"truth mask has label {truth.max()}, checkpoint has "
-                f"{arch.classes} classes")
-    allowed = None
-    if args.restrict:
-        allowed = np.unique(coarse.argmax(axis=2))
+    truth = (ds.map_to_labels(read_image_pnm(args.truth), f"truth mask {args.truth}")
+             if args.truth else None)
+    ds.check_sample(image, coarse, arch.classes, truth, owner="the checkpoint",
+                    name={"image": f"image {args.image}", "mask": f"truth mask {args.truth}",
+                          "coarse map": f"coarse map {args.coarse}"}.get)
+    allowed = np.unique(coarse.argmax(axis=2)) if args.restrict else None
     pred, _ = tr.refine_sample(params, arch, image, coarse, allowed)
     ds_counts = np.bincount(pred.reshape(-1), minlength=arch.classes)
     write_image_pnm(args.out, ds.labels_to_map(pred))

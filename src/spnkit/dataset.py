@@ -288,27 +288,45 @@ def load_split(root) -> tuple[list, list, dict]:
     return train, val, meta
 
 
-def load_sample(root, index: int, classes: int | None = None):
-    """Returns (image (S, S, 3) f32, labels (S, S) i32, coarse (S, S, C) f32).
+def check_sample(image: np.ndarray, coarse: np.ndarray, classes: int | None,
+                 labels: np.ndarray | None = None, *, name=str,
+                 owner: str = "the model", error: type = DimensionError) -> None:
+    """Raise `error` unless the coarse map is (H, W, `classes`; None: any) with
+    the image's H and W and finite, and the labels, if given, are (H, W) in
+    [0, classes). `name` maps "image", "coarse map" and "mask" to the names in
+    messages; `owner` names where `classes` came from."""
+    h, w = image.shape[:2]
+    if labels is not None and labels.shape != (h, w):
+        raise error(f"{name('image')} is {h}x{w}, its mask is "
+                    + "x".join(map(str, labels.shape)))
+    if coarse.ndim != 3:
+        raise error(f"{name('coarse map')} has shape {coarse.shape}, "
+                    f"not (height, width, classes)")
+    if coarse.shape[:2] != (h, w):
+        raise error(f"{name('coarse map')} is {coarse.shape[0]}x{coarse.shape[1]}, "
+                    f"{name('image')} is {h}x{w}")
+    classes = coarse.shape[2] if classes is None else classes
+    if coarse.shape[2] != classes:
+        raise error(f"{name('coarse map')} has {coarse.shape[2]} channels, "
+                    f"{owner} has {classes} classes")
+    require_finite(coarse, name("coarse map"), error)
+    if labels is not None:
+        lo, hi = labels.min(), labels.max()
+        if lo < 0 or hi >= classes:
+            raise error(f"{name('mask')} has label {lo if lo < 0 else hi}, "
+                        f"{owner} has {classes} classes")
 
-    With `classes` (the manifest's), the coarse map must have that many
-    channels."""
+
+def load_sample(root, index: int, classes: int | None = None):
+    """Returns (image (S, S, 3) f32, labels (S, S) i32, coarse (S, S, C) f32),
+    checked by `check_sample` against `classes`, the manifest's, if given."""
     ipath, mpath, cpath = _item_paths(Path(root), index)
     image = read_image_pnm(ipath)
     labels = map_to_labels(read_image_pnm(mpath), f"mask for item {index}")
-    if image.shape[:2] != labels.shape:
-        raise FormatError(f"image for item {index} is {image.shape[0]}x{image.shape[1]}, "
-                          f"its mask is {labels.shape[0]}x{labels.shape[1]}")
     coarse = read_array(cpath)
-    if coarse.ndim != 3 or coarse.shape[:2] != labels.shape:
-        raise FormatError(f"coarse map for item {index} has shape {coarse.shape}")
-    if classes is not None and coarse.shape[2] != classes:
-        raise FormatError(f"coarse map for item {index} has {coarse.shape[2]} channels, "
-                          f"the manifest has {classes} classes")
-    require_finite(coarse, f"coarse map for item {index}")
-    if labels.max() >= coarse.shape[2]:
-        raise FormatError(f"mask for item {index} has label {labels.max()}, its "
-                          f"coarse map has {coarse.shape[2]} classes")
+    check_sample(image, coarse, classes, labels, error=FormatError,
+                 owner="its coarse map" if classes is None else "the manifest",
+                 name=lambda noun: f"{noun} for item {index}")
     return image, labels, coarse
 
 

@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_sample, load_split
+from .dataset import check_sample, load_sample, load_split
 from .errors import (ConfigError, ContractError, DimensionError, TrainingAborted,
                      require_at_least)
 from .guidance import (
@@ -264,10 +264,11 @@ def pipeline_signature(cache: dict) -> bytes:
 
 def refine_sample(params: dict, arch: Architecture, image: np.ndarray,
                   coarse: np.ndarray, allowed=None):
-    """Predict labels for one sample. Returns (pred (H, W) int32, gates):
-    the projected gates the prediction was made with. Raises ContractError
-    on a non-finite logit: cascaded units can amplify the coarse map past
-    the float range, and its argmax would be a silent wrong answer."""
+    """Predict labels for one sample: (pred (H, W) int32, the projected gates
+    used). Raises DimensionError under `check_sample`, and ContractError on a
+    non-finite logit: cascaded units can amplify the coarse map past the float
+    range, and its argmax would be a silent wrong answer."""
+    check_sample(image, coarse, arch.classes)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         logits, cache = pipeline_forward(params, arch, image, coarse)
     bad = ~np.isfinite(logits)
@@ -345,7 +346,10 @@ def _sample_iou(params, arch, restrict: bool, item):
 def evaluate(params, arch, samples, restrict: bool = False, pool=None):
     """(mean IoU over samples, stability report of sample 0's gates); with
     `restrict`, each sample is predicted among the labels of its own truth
-    only. A `_SamplePool` spreads the samples over its processes."""
+    only. A `_SamplePool` spreads the samples over its processes. All
+    samples pass `check_sample`, labels included, before any is predicted."""
+    for i, (image, labels, coarse) in enumerate(samples):
+        check_sample(image, coarse, arch.classes, labels, name=f"{{}} of sample {i}".format)
     if pool is None:
         pool = _SamplePool(1)  # no workers: a serial loop
     counts = pool.map(functools.partial(_sample_iou, params, arch, restrict),

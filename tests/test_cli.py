@@ -1,5 +1,6 @@
 import ctypes
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +30,23 @@ def run(capsys, *argv):
 def has_line(out, prefix):
     """True if some output line starts with `prefix` (record names nest)."""
     return any(line.startswith(prefix) for line in out.splitlines())
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("spn ")]
+
+
+def test_readme_cli_examples_parse():
+    # a renamed or removed flag fails here before a reader trips on it
+    lines = _readme_cli_lines()
+    assert len(lines) >= 8
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "spn", line
+        args = cli.build_parser().parse_args(argv[1:])
+        assert args.command == argv[1], line
 
 
 def test_verify_passes(capsys):
@@ -74,10 +92,11 @@ def test_verify_fault_injection(capsys, fault, marker):
     (("affinity", "--channels", "-2"), "--channels must be at least 1, got -2"),
     (("impulse", "--gate-value", "nan"), "--gate-value must be finite, got nan"),
     (("impulse", "--gate-value", "inf"), "--gate-value must be finite, got inf"),
+    (("impulse", "--row", "99"), "impulse position (99, 0) outside grid"),
 ], ids=["trials-0", "max-size-1", "channels-0", "max-size-21", "eps-0", "eps-neg", "eps-nan",
         "coords-0", "coords-neg",
         "affinity-channels-0", "affinity-channels-neg", "impulse-gate-value-nan",
-        "impulse-gate-value-inf"])
+        "impulse-gate-value-inf", "impulse-row-99"])
 def test_check_arguments_out_of_range_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
@@ -398,6 +417,50 @@ def test_refine_rejects_coarse_of_wrapping_dimensions(capsys, trained, tmp_path)
     assert not pred.exists()
 
 
+def _spnt(rank, dims=()):
+    return b"SPNT" + bytes([1, 1, rank]) + np.asarray(dims, dtype="<u4").tobytes()
+
+
+_PNM_PAYLOAD = bytes(16 * 16 * 3)
+
+
+@pytest.mark.parametrize("flag,edit,message", [
+    ("--checkpoint", lambda ck: ck.replace(b"-v2\n", b"-v9\n", 1),
+     "unsupported checkpoint format 'spn-checkpoint-v9'"),
+    ("--checkpoint", lambda ck: ck.replace(b"\nunits=1\n", b"\n", 1),
+     "architecture field missing: 'units'"),
+    ("--coarse", lambda _: b"SPN", "truncated header at byte 3: magic incomplete"),
+    ("--coarse", lambda _: b"SPNT\x01\x01", "truncated header at byte 6"),
+    ("--coarse", lambda _: _spnt(3, [16]), "truncated dimension list at byte 11"),
+    ("--coarse", lambda _: _spnt(0), "rank 0 out of range at byte 6"),
+    ("--coarse", lambda _: _spnt(3, [16, 0, 2]), "zero dimension in header at byte 11"),
+    ("--coarse", lambda _: _spnt(3, [16, 16, 3]) + bytes(16 * 16 * 3 * 4),
+     "has 3 channels, the checkpoint has 2 classes"),
+    ("--image", lambda _: b"P6\n16 16\n", "unexpected end of header at byte 9"),
+    ("--image", lambda _: b"P6\n16.0 16\n255\n" + _PNM_PAYLOAD,
+     "expected integer in header, got b'16.0' before byte 7"),
+    ("--image", lambda _: b"P3\n16 16\n255\n" + _PNM_PAYLOAD, "unsupported magic b'P3' at byte 0"),
+    ("--image", lambda _: b"P6\n0 16\n255\n", "image dimensions must be >= 1"),
+    ("--image", lambda _: b"P6\n16 16\n255", "missing separator after maxval at byte 12"),
+], ids=["checkpoint-v9", "checkpoint-no-units", "coarse-3-bytes", "coarse-6-bytes",
+        "coarse-cut-in-dims", "coarse-rank-0", "coarse-zero-dim", "coarse-3-channels",
+        "image-cut-header", "image-width-16.0", "image-P3", "image-width-0",
+        "image-no-separator"])
+def test_refine_rejects_malformed_input_exit_2(capsys, trained, tmp_path, flag, edit, message):
+    ds_dir, out_dir = trained
+    paths = {"--checkpoint": out_dir / "best", "--image": ds_dir / "images" / "0009.ppm",
+             "--coarse": ds_dir / "coarse" / "0009.spnt"}
+    bad = tmp_path / "bad"
+    bad.write_bytes(edit(paths[flag].read_bytes()))
+    paths[flag] = bad
+    pred = tmp_path / "pred.pgm"
+    rc, out, err = run(capsys, "refine", "--out", str(pred),
+                       *(str(a) for item in paths.items() for a in item))
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert out == "" and not pred.exists()
+
+
 def test_refine_rejects_nonfinite_checkpoint(capsys, trained, tmp_path):
     _, out_dir = trained
     ck = tmp_path / "ck"
@@ -484,7 +547,8 @@ def test_mask_label_beyond_classes_exit_2(capsys, trained, tmp_path, command):
 @pytest.mark.parametrize("defect,message", [
     ("image-8x8", "image for item 9 is 8x8, its mask is 16x16"),
     ("coarse-3-channels", "coarse map for item 9 has 3 channels, the manifest has 2 classes"),
-], ids=["image-8x8", "coarse-3-channels"])
+    ("coarse-rank-2", "coarse map for item 9 has shape (16, 16), not (height, width, classes)"),
+], ids=["image-8x8", "coarse-3-channels", "coarse-rank-2"])
 def test_item_of_wrong_shape_exit_2(capsys, trained, tmp_path, command, defect, message):
     import shutil
     ds_dir, out_dir = trained
@@ -496,7 +560,8 @@ def test_item_of_wrong_shape_exit_2(capsys, trained, tmp_path, command, defect, 
     else:
         path = ds / "coarse" / "0009.spnt"
         coarse = read_array(path)
-        write_array(path, np.concatenate([coarse, 0.0 * coarse[:, :, :1]], axis=2))
+        write_array(path, np.concatenate([coarse, 0.0 * coarse[:, :, :1]], axis=2)
+                    if defect == "coarse-3-channels" else coarse[:, :, 0])
     argv = {"train": ["train", "--data", str(ds), "--out", str(tmp_path / "run"),
                       "--epochs", "1", "--prop-channels", "3", "--widths", "3,4,5"],
             "eval": ["eval", "--checkpoint", str(out_dir / "best"), "--data", str(ds)],

@@ -198,6 +198,42 @@ def test_pipeline_initial_prediction_tracks_coarse():
     assert (pred == coarse.argmax(axis=2)).mean() > 0.85
 
 
+@pytest.mark.parametrize("defect,message", [
+    ("17x40", "coarse map is 17x40, image is 32x32"),
+    ("nan", r"coarse map has a non-finite value nan at index \(4, 7, 1\)"),
+], ids=["17x40", "nan"])
+def test_refine_sample_rejects_a_broken_coarse_map(defect, message):
+    # both used to return a prediction: a resized 17x40 map, and an
+    # all-background one where the resize smeared the NaN
+    arch, params, image, coarse, _ = small_setup(np.float32, size=32)
+    if defect == "17x40":
+        coarse = np.full((17, 40, 2), 0.5, dtype=np.float32)
+    else:
+        coarse[4, 7, 1] = np.nan
+    with pytest.raises(DimensionError, match=message):
+        refine_sample(params, arch, image, coarse)
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("label-5", "mask of sample 1 has label 5, the model has 2 classes"),
+    ("shape-32x1", "image of sample 1 is 32x32, its mask is 32x1"),
+], ids=["label-5", "shape-32x1"])
+def test_evaluate_rejects_broken_labels_before_predicting(monkeypatch, defect, message):
+    # both used to be scored: the IoU moved instead of the call failing
+    arch, params, image, coarse, labels = small_setup(np.float32, size=32)
+    bad = labels.copy()
+    if defect == "label-5":
+        bad[3, 4] = 5
+    else:
+        bad = labels[:, :1]
+    predicted = []
+    monkeypatch.setattr(training, "refine_sample",
+                        lambda *a: predicted.append(a) or refine_sample(*a))
+    with pytest.raises(DimensionError, match=message):
+        evaluate(params, arch, [(image, labels, coarse), (image, bad, coarse)])
+    assert predicted == []
+
+
 def test_pipeline_backward_fd_end_to_end():
     arch, params, image, coarse, labels = small_setup()
 
