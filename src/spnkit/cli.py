@@ -53,8 +53,6 @@ from .propagation import (
 )
 from .stability import (
     STABILITY_TOL,
-    gate_abs_sums,
-    project_gates,
     project_gates_backward,
     project_gates_cached,
     verify_stability,
@@ -173,6 +171,12 @@ def cmd_gradcheck(args) -> int:
         scale = np.abs(grad).max() or 1.0
         return grad + 0.05 * scale * rng.standard_normal(grad.shape)
 
+    def audit(name, probe, x, grad, tol, mask=None):
+        res = check_gradient(probe, x, fuzz(grad), rng=rng, num=budget_each,
+                             eps=args.eps, mask=mask)
+        log.record(name, res.max_rel_err < tol, str(res))
+        return res.checked
+
     # the path training runs: two units, so the gate gradient adds up across
     # units; a square grid scans as one four-direction stack, a non-square
     # one as two. Coordinates whose perturbation moves a max-pool winner
@@ -186,35 +190,26 @@ def cmd_gradcheck(args) -> int:
         wts = rng.standard_normal(x.shape)
         dx, dg = spn_backward(wts, spn_forward(x, g, kind, units=2)[1])
 
-        def loss(a, b):
-            return float((spn_forward(a, b, kind, units=2)[0] * wts).sum())
+        def probe(a, b):
+            out, caches = spn_forward(a, b, kind, units=2)
+            return (float((out * wts).sum()),
+                    b"".join(c.winner.tobytes() for c in caches))
 
-        def winners(a, b):
-            return b"".join(c.winner.tobytes()
-                            for c in spn_forward(a, b, kind, units=2)[1])
-
-        res = check_gradient(lambda a: loss(a, g), x, fuzz(dx), rng=rng,
-                             num=budget_each, eps=args.eps,
-                             signature=lambda a: winners(a, g))
-        total += res.checked
-        log.record(f"spn-input[{label}]", res.max_rel_err < 1e-4, str(res))
+        total += audit(f"spn-input[{label}]", lambda a: probe(a, g), x, dx, 1e-4)
         free = np.broadcast_to(~boundary_mask(h, w, kind)[:, :, None], g.shape)
-        res = check_gradient(lambda a: loss(x, a), g, fuzz(dg), rng=rng,
-                             num=budget_each, eps=args.eps, mask=free,
-                             signature=lambda a: winners(x, a))
-        total += res.checked
-        log.record(f"spn-gates[{label}]", res.max_rel_err < 1e-4, str(res))
+        total += audit(f"spn-gates[{label}]", lambda a: probe(x, a), g, dg, 1e-4,
+                       mask=free)
 
     g = random_gates(4, 4, 2, ConnectionKind.THREE_WAY, rng, low=-1.3, high=1.3)
     wts = rng.standard_normal(g.shape)
     _, pc = project_gates_cached(g, ConnectionKind.THREE_WAY)
     dg = project_gates_backward(wts, pc)
-    res = check_gradient(
-        lambda a: float((project_gates(a, ConnectionKind.THREE_WAY) * wts).sum()),
-        g, fuzz(dg), rng=rng, num=budget_each, eps=args.eps, mask=g != 0.0,
-        signature=lambda a: (gate_abs_sums(a, ConnectionKind.THREE_WAY) > 1.0).tobytes())
-    total += res.checked
-    log.record("projection", res.max_rel_err < 1e-4, str(res))
+
+    def project_probe(a):
+        out, (_, _, _, active) = project_gates_cached(a, ConnectionKind.THREE_WAY)
+        return float((out * wts).sum()), active.tobytes()
+
+    total += audit("projection", project_probe, g, dg, 1e-4, mask=g != 0.0)
 
     arch = tr.Architecture(widths=(3, 4, 5), prop_channels=3)
     params = tr.init_pipeline_params(arch, rng, dtype=np.float64)
@@ -231,20 +226,12 @@ def cmd_gradcheck(args) -> int:
     _, dlogits, cache = run(params)
     grads = tr.pipeline_backward(dlogits, cache)
     for key in ("enc1.w", "head.w", "pre.w", "post.w"):
-        def loss_fn(a, key=key):
-            trial = dict(params)
-            trial[key] = a
-            return run(trial)[0]
+        def pipeline_probe(a):
+            loss, _, trial_cache = run({**params, key: a})
+            return loss, tr.pipeline_signature(trial_cache)
 
-        def sig_fn(a, key=key):
-            trial = dict(params)
-            trial[key] = a
-            return tr.pipeline_signature(run(trial)[2])
-
-        res = check_gradient(loss_fn, params[key], fuzz(grads[key]), rng=rng,
-                             num=budget_each, eps=args.eps, signature=sig_fn)
-        total += res.checked
-        log.record(f"pipeline[{key}]", res.max_rel_err < 1e-3, str(res))
+        total += audit(f"pipeline[{key}]", pipeline_probe, params[key],
+                       grads[key], 1e-3)
 
     print(f"total coordinates checked: {total}")
     if total < args.coords:

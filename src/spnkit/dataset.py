@@ -291,11 +291,12 @@ def load_split(root) -> tuple[list, list, dict]:
 def check_sample(image: np.ndarray, coarse: np.ndarray, classes: int | None,
                  labels: np.ndarray | None = None, *, name=str,
                  owner: str = "the model", error: type = DimensionError) -> None:
-    """Raise `error` unless the coarse map is (H, W, `classes`; None: any) with
-    the image's H and W and finite, and the labels, if given, are (H, W) in
-    [0, classes). `name` maps "image", "coarse map" and "mask" to the names in
-    messages; `owner` names where `classes` came from."""
+    """Raise `error` unless the image is finite, the coarse map is finite and
+    (H, W, `classes`; None: any) with the image's H and W, and the labels, if
+    given, are (H, W) in [0, classes). `name` maps "image", "coarse map" and
+    "mask" to the names in messages; `owner` names where `classes` came from."""
     h, w = image.shape[:2]
+    require_finite(image, name("image"), error)
     if labels is not None and labels.shape != (h, w):
         raise error(f"{name('image')} is {h}x{w}, its mask is "
                     + "x".join(map(str, labels.shape)))

@@ -3,9 +3,9 @@
 The checker perturbs individual coordinates of a 64-bit input and compares
 the numerical slope against an analytic gradient. Piecewise branches (max
 pooling winners, clamp active sets, relu signs) make the numerical slope
-meaningless when a perturbation crosses a branch point, so callers may supply
-a signature function; coordinates whose signature changes under either
-perturbation are skipped and reported, not failed.
+meaningless when a perturbation crosses a branch point. So one model run,
+`probe(a)`, returns the value and the branch it took; coordinates whose branch
+changes under either perturbation are skipped and reported, not failed.
 """
 from __future__ import annotations
 
@@ -36,14 +36,15 @@ class GradCheckResult:
                 f"analytic {self.worst_analytic:.6e})")
 
 
-def check_gradient(func, x: np.ndarray, analytic: np.ndarray, rng,
-                   num: int = 100, eps: float = 1e-4, mask=None,
-                   signature=None) -> GradCheckResult:
+def check_gradient(probe, x: np.ndarray, analytic: np.ndarray, rng,
+                   num: int = 100, eps: float = 1e-4, mask=None) -> GradCheckResult:
     """Compare analytic against central differences at sampled coordinates.
 
-    func maps an array like `x` to a float. `mask` limits which coordinates
-    may be perturbed (boundary-pinned entries are not free parameters).
-    Everything runs in float64; a non-f64 input is a caller bug.
+    probe maps an array like `x` to (float, branch), where branch is any value
+    compared with `!=` (bytes, a tuple, or None when the model has no branch);
+    it runs once at `x` and twice per sampled coordinate. `mask` limits which
+    coordinates may be perturbed (boundary-pinned entries are not free
+    parameters). Everything runs in float64; a non-f64 input is a caller bug.
     """
     if x.dtype != np.float64:
         raise DimensionError("gradient checks must run on float64 inputs")
@@ -57,7 +58,7 @@ def check_gradient(func, x: np.ndarray, analytic: np.ndarray, rng,
         raise DimensionError("no eligible coordinates to check")
     if pool.size > num:
         pool = rng.choice(pool, size=num, replace=False)
-    base_sig = signature(x) if signature is not None else None
+    base_branch = probe(x)[1]
     res = GradCheckResult()
     flat_analytic = analytic.reshape(-1)
     for idx in pool:
@@ -65,11 +66,11 @@ def check_gradient(func, x: np.ndarray, analytic: np.ndarray, rng,
         xp.flat[idx] += eps
         xm = x.copy()
         xm.flat[idx] -= eps
-        if signature is not None:
-            if signature(xp) != base_sig or signature(xm) != base_sig:
-                res.skipped += 1
-                continue
-        numeric = (func(xp) - func(xm)) / (2.0 * eps)
+        (fp, bp), (fm, bm) = probe(xp), probe(xm)
+        if bp != base_branch or bm != base_branch:
+            res.skipped += 1
+            continue
+        numeric = (fp - fm) / (2.0 * eps)
         err = relative_error(numeric, float(flat_analytic[idx]))
         res.checked += 1
         if err > res.max_rel_err:

@@ -486,15 +486,15 @@ def step_matrix(gate_line: np.ndarray, kind: ConnectionKind) -> np.ndarray:
     gives it for one channel: entry (i, j) of the result weights line j of
     the previous step, i-1, i or i+1, feeding line i.
     """
-    n, k = gate_line.shape
+    _, k = gate_line.shape
     if k != kind.gates_per_direction:
         raise DimensionError(f"gate line has {k} slots, kind needs {kind.gates_per_direction}")
     if kind == ConnectionKind.ONE_WAY:
         return np.diag(gate_line[:, 0])
     w = np.diag(gate_line[:, GATE_SAME])
-    if n > 1:
-        w += np.diag(gate_line[1:, GATE_PREV], -1)
-        w += np.diag(gate_line[:-1, GATE_NEXT], 1)
+    # on one line the off-diagonals are empty: np.diag gives a 1x1 zero
+    w += np.diag(gate_line[1:, GATE_PREV], -1)
+    w += np.diag(gate_line[:-1, GATE_NEXT], 1)
     return w
 
 

@@ -103,7 +103,7 @@ def resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def write_array(path, arr: np.ndarray, prefix: bytes = b"") -> bytes:
     """Write `prefix`, then the array as a tensor container record (bit-exact
     round trip); returns the bytes written."""
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr, order="C")  # ascontiguousarray would make rank 0 rank 1
     code = _DTYPE_TO_CODE.get(arr.dtype)
     if code is None:
         raise DimensionError(f"only float32/float64 arrays are writable, got {arr.dtype}")

@@ -138,14 +138,10 @@ def test_acceptance_3_projection_bound_and_containment():
             f"rounds {worst_mag:.6f}, {elapsed:.1f}s")
 
 
-def _spn_value(x, gates, kind, units, weights):
-    out, _ = spn_forward(x, gates, kind, units, check=False)
-    return float((out * weights).sum())
-
-
-def _spn_winner_sig(x, gates, kind, units):
-    _, caches = spn_forward(x, gates, kind, units, check=False)
-    return b"".join(c.winner.tobytes() for c in caches)
+def _spn_probe(x, gates, kind, units, weights):
+    out, caches = spn_forward(x, gates, kind, units, check=False)
+    return (float((out * weights).sum()),
+            b"".join(c.winner.tobytes() for c in caches))
 
 
 def test_acceptance_4_gradients_match_finite_differences():
@@ -165,18 +161,16 @@ def test_acceptance_4_gradients_match_finite_differences():
         dx, dgates = spn_backward(weights.copy(), caches)
 
         res = check_gradient(
-            lambda xf, g=gates, k=kind, u=units: _spn_value(xf, g, k, u, weights),
-            x, dx, rng, num=30,
-            signature=lambda xf, g=gates, k=kind, u=units: _spn_winner_sig(xf, g, k, u))
+            lambda xf, g=gates, k=kind, u=units: _spn_probe(xf, g, k, u, weights),
+            x, dx, rng, num=30)
         spn_checked += res.checked
         spn_worst = max(spn_worst, res.max_rel_err)
 
         free = np.broadcast_to(~boundary_mask(h, w, kind)[:, :, None, :, :],
                                gates.shape)
         res = check_gradient(
-            lambda gf, k=kind, u=units: _spn_value(x, gf, k, u, weights),
-            gates, dgates, rng, num=40, mask=free,
-            signature=lambda gf, k=kind, u=units: _spn_winner_sig(x, gf, k, u))
+            lambda gf, k=kind, u=units: _spn_probe(x, gf, k, u, weights),
+            gates, dgates, rng, num=40, mask=free)
         spn_checked += res.checked
         spn_worst = max(spn_worst, res.max_rel_err)
 
@@ -192,18 +186,12 @@ def test_acceptance_4_gradients_match_finite_differences():
     net_checked = 0
     net_worst = 0.0
     for key in sorted(ggrads):
-        def loss(arr, key=key):
-            p2 = {**params, key: arr}
-            out, _ = guidance_forward(p2, arch, image, hp, wp)
-            return float((out * gweights).sum())
+        def probe(arr, key=key):
+            out, c2 = guidance_forward({**params, key: arr}, arch, image, hp, wp)
+            return float((out * gweights).sum()), relu_signature(c2)
 
-        def sig(arr, key=key):
-            p2 = {**params, key: arr}
-            _, c2 = guidance_forward(p2, arch, image, hp, wp)
-            return relu_signature(c2)
-
-        res = check_gradient(loss, params[key], ggrads[key], rng,
-                             num=min(18, params[key].size), signature=sig)
+        res = check_gradient(probe, params[key], ggrads[key], rng,
+                             num=min(18, params[key].size))
         net_checked += res.checked
         net_worst = max(net_worst, res.max_rel_err)
 
@@ -225,19 +213,12 @@ def test_acceptance_4_gradients_match_finite_differences():
     budget = {"head.w": 20, "enc1.w": 20, "enc2.w": 15, "dec1.w": 15,
               "pre.w": 15, "post.w": 15, "enc0.b": 10}
     for key, num in budget.items():
-        def loss(arr, key=key):
-            p2 = {**pparams, key: arr}
-            lg, _ = pipeline_forward(p2, parch, pimage, pcoarse)
+        def probe(arr, key=key):
+            lg, c2 = pipeline_forward({**pparams, key: arr}, parch, pimage, pcoarse)
             value, _ = softmax_xent(lg, plabels)
-            return float(value)
+            return float(value), pipeline_signature(c2)
 
-        def sig(arr, key=key):
-            p2 = {**pparams, key: arr}
-            _, c2 = pipeline_forward(p2, parch, pimage, pcoarse)
-            return pipeline_signature(c2)
-
-        res = check_gradient(loss, pparams[key], pgrads[key], rng,
-                             num=num, signature=sig)
+        res = check_gradient(probe, pparams[key], pgrads[key], rng, num=num)
         chain_checked += res.checked
         chain_worst = max(chain_worst, res.max_rel_err)
 

@@ -115,6 +115,19 @@ def test_scan_matches_oracle_f64():
         np.testing.assert_allclose(scan, dense, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1)], ids=["1x7", "7x1"])
+def test_scan_matches_oracle_on_a_single_line_grid(shape):
+    # across one axis each step has one line, so the three-way step matrix
+    # has no off-diagonal
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(shape + (2,))
+    g = random_gates(*shape, 2, THREE, rng, low=-0.4, high=0.6)
+    for d in Direction:
+        scan = propagate_direction(x, g[:, :, :, d, :], d, THREE)
+        dense = oracle_propagate(x, g[:, :, :, d, :], d, THREE)
+        np.testing.assert_allclose(scan, dense, atol=1e-10)
+
+
 def test_scan_matches_oracle_f32():
     rng = np.random.default_rng(4)
     for d in Direction:

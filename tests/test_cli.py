@@ -151,6 +151,13 @@ def test_gradcheck_passes(capsys):
     assert total >= 120
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--trials", "2", "--max-size", "6"), ("gradcheck", "--coords", "80"),
+], ids=["verify", "gradcheck"])
+def test_default_seed_is_zero(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
+
+
 def test_gradcheck_perturbed_backward_fails(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--coords", "120",
                      "--perturb-backward")
@@ -333,6 +340,15 @@ def test_gen_data_check(capsys, trained):
     rc, out, _ = run(capsys, "gen-data", "--out", str(ds_dir), "--check")
     assert rc == 0
     assert "11 items verified" in out
+
+
+def test_gen_data_writes_a_tree_that_checks(capsys, tmp_path):
+    ds_dir = tmp_path / "ds"
+    assert run(capsys, "gen-data", "--out", str(ds_dir), "--size", "16",
+               "--train", "2", "--val", "1") == (
+        0, f"wrote 3 items to {ds_dir} (2 train / 1 val, 16x16, 2 classes)\n", "")
+    assert run(capsys, "gen-data", "--out", str(ds_dir), "--check") == (
+        0, "dataset ok: 3 items verified against manifest hashes\n", "")
 
 
 def test_train_artifacts_and_config_echo(trained):

@@ -169,17 +169,17 @@ def test_conv_backward_fd():
         _, cache = conv3x3_forward(x, w, b, stride)
         dx, dw, db = conv3x3_backward(g, cache)
 
-        def loss_x(a):
-            return float((conv3x3_forward(a, w, b, stride)[0] * g).sum())
+        def probe_x(a):
+            return float((conv3x3_forward(a, w, b, stride)[0] * g).sum()), None
 
-        def loss_w(a):
-            return float((conv3x3_forward(x, a, b, stride)[0] * g).sum())
+        def probe_w(a):
+            return float((conv3x3_forward(x, a, b, stride)[0] * g).sum()), None
 
-        def loss_b(a):
-            return float((conv3x3_forward(x, w, a, stride)[0] * g).sum())
+        def probe_b(a):
+            return float((conv3x3_forward(x, w, a, stride)[0] * g).sum()), None
 
-        for loss, arr, grad in ((loss_x, x, dx), (loss_w, w, dw), (loss_b, b, db)):
-            res = check_gradient(loss, arr, grad, rng=rng, num=30)
+        for probe, arr, grad in ((probe_x, x, dx), (probe_w, w, dw), (probe_b, b, db)):
+            res = check_gradient(probe, arr, grad, rng=rng, num=30)
             assert res.max_rel_err < 1e-7, str(res)
 
 
@@ -369,20 +369,11 @@ def test_guidance_param_gradients_fd():
     assert sorted(grads) == sorted(net_keys)
 
     for key in ("enc0.w", "enc2.w", "dec1.w", "head.w", "enc1.b"):
-        def loss(a, key=key):
-            trial = dict(params)
-            trial[key] = a
-            g, _ = guidance_forward(trial, arch, img, 5, 4)
-            return float((g * wts).sum())
+        def probe(a, key=key):
+            g, c = guidance_forward({**params, key: a}, arch, img, 5, 4)
+            return float((g * wts).sum()), relu_signature(c)
 
-        def sig(a, key=key):
-            trial = dict(params)
-            trial[key] = a
-            _, c = guidance_forward(trial, arch, img, 5, 4)
-            return relu_signature(c)
-
-        res = check_gradient(loss, params[key], grads[key], rng=rng,
-                             num=20, signature=sig)
+        res = check_gradient(probe, params[key], grads[key], rng=rng, num=20)
         assert res.checked >= min(10, params[key].size), f"{key}: too many skips ({res})"
         assert res.max_rel_err < 1e-6, f"{key}: {res}"
 

@@ -273,29 +273,21 @@ def test_spn_backward_fd_with_winner_signature():
     out, caches = spn_forward(x, g, THREE, units=2)
     dx, dg = spn_backward(w, caches)
 
-    def loss_x(a):
-        o, _ = spn_forward(a, g, THREE, units=2)
-        return float((o * w).sum())
+    def probe_x(a):
+        o, cs = spn_forward(a, g, THREE, units=2)
+        return float((o * w).sum()), tuple(c.winner.tobytes() for c in cs)
 
-    def sig_x(a):
-        _, cs = spn_forward(a, g, THREE, units=2)
-        return tuple(c.winner.tobytes() for c in cs)
-
-    res = check_gradient(loss_x, x, dx, rng=rng, num=50, signature=sig_x)
+    res = check_gradient(probe_x, x, dx, rng=rng, num=50)
     assert res.checked >= 30
     assert res.max_rel_err < 1e-6, str(res)
 
-    def loss_g(a):
-        o, _ = spn_forward(x, a, THREE, units=2, check=False)
-        return float((o * w).sum())
-
-    def sig_g(a):
-        _, cs = spn_forward(x, a, THREE, units=2, check=False)
-        return tuple(c.winner.tobytes() for c in cs)
+    def probe_g(a):
+        o, cs = spn_forward(x, a, THREE, units=2, check=False)
+        return float((o * w).sum()), tuple(c.winner.tobytes() for c in cs)
 
     valid = ~boundary_mask(4, 4, THREE)
     mask = np.broadcast_to(valid[:, :, None, :, :], g.shape).copy()
-    res = check_gradient(loss_g, g, dg, rng=rng, num=50, mask=mask, signature=sig_g)
+    res = check_gradient(probe_g, g, dg, rng=rng, num=50, mask=mask)
     assert res.checked >= 30
     assert res.max_rel_err < 1e-6, str(res)
 

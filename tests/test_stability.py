@@ -127,17 +127,14 @@ def test_projection_backward_fd():
     p, cache = project_gates_cached(g, THREE)
     dg = project_gates_backward(w, cache)
 
-    def loss(a):
-        return float((project_gates(a, THREE) * w).sum())
-
-    def sig(a):
-        return gate_abs_sums(a, THREE) > 1.0
+    def probe(a):
+        return (float((project_gates(a, THREE) * w).sum()),
+                (gate_abs_sums(a, THREE) > 1.0).tobytes())
 
     # eligible: nonzero entries (sign kink at zero) away from the exact
-    # threshold; the signature guard drops active-set flips
+    # threshold; the branch guard drops active-set flips
     mask = g != 0.0
-    res = check_gradient(loss, g, dg, rng=rng, num=60, mask=mask,
-                         signature=lambda a: sig(a).tobytes())
+    res = check_gradient(probe, g, dg, rng=rng, num=60, mask=mask)
     assert res.checked >= 40
     assert res.max_rel_err < 1e-6, str(res)
 

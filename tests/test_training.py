@@ -71,8 +71,8 @@ def test_softmax_xent_grad_fd():
     logits = rng.standard_normal((4, 5, 3))
     labels = rng.integers(0, 3, size=(4, 5)).astype(np.int32)
     _, grad = softmax_xent(logits, labels)
-    res = check_gradient(lambda a: softmax_xent(a, labels)[0], logits, grad,
-                         rng=rng, num=40)
+    res = check_gradient(lambda a: (softmax_xent(a, labels)[0], None), logits,
+                         grad, rng=rng, num=40)
     assert res.max_rel_err < 1e-7, str(res)
 
 
@@ -214,6 +214,23 @@ def test_refine_sample_rejects_a_broken_coarse_map(defect, message):
         refine_sample(params, arch, image, coarse)
 
 
+@pytest.mark.parametrize("pixel", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry,what", [
+    (lambda arch, params, image, coarse, labels:
+     refine_sample(params, arch, image, coarse), "image"),
+    (lambda arch, params, image, coarse, labels:
+     evaluate(params, arch, [(image, labels, coarse)]), "image of sample 0"),
+], ids=["refine_sample", "evaluate"])
+def test_a_non_finite_image_pixel_is_an_input_error(entry, what, pixel):
+    # a NaN pixel used to be zeroed by the guidance relu and get a prediction
+    # back; an inf one ended in ContractError ("non-finite logit")
+    arch, params, image, coarse, labels = small_setup(np.float32, size=16)
+    image[5, 9, 1] = pixel
+    with pytest.raises(DimensionError, match=rf"^{what} has a non-finite value "
+                       rf"{pixel} at index \(5, 9, 1\)$"):
+        entry(arch, params, image, coarse, labels)
+
+
 @pytest.mark.parametrize("defect,message", [
     ("label-5", "mask of sample 1 has label 5, the model has 2 classes"),
     ("shape-32x1", "image of sample 1 is 32x32, its mask is 32x1"),
@@ -247,18 +264,11 @@ def test_pipeline_backward_fd_end_to_end():
     assert sorted(grads) == sorted(params)
     rng = np.random.default_rng(3)
     for key in ("head.w", "pre.w", "post.w", "enc0.w"):
-        def loss_fn(a, key=key):
-            trial = dict(params)
-            trial[key] = a
-            return run(trial)[0]
+        def probe(a, key=key):
+            loss, _, trial_cache = run({**params, key: a})
+            return loss, pipeline_signature(trial_cache)
 
-        def sig_fn(a, key=key):
-            trial = dict(params)
-            trial[key] = a
-            return pipeline_signature(run(trial)[2])
-
-        res = check_gradient(loss_fn, params[key], grads[key], rng=rng,
-                             num=25, signature=sig_fn)
+        res = check_gradient(probe, params[key], grads[key], rng=rng, num=25)
         assert res.checked >= 10, f"{key}: {res}"
         assert res.max_rel_err < 1e-5, f"{key}: {res}"
 
@@ -386,6 +396,12 @@ def test_train_config_validation():
         TrainConfig(momentum=1.5)
 
 
+@pytest.mark.parametrize("field", ["epochs", "batch"])
+def test_train_config_needs_one_epoch_and_one_sample(field):
+    with pytest.raises(ConfigError, match=f"^{field} must be at least 1, got 0$"):
+        TrainConfig(**{field: 0})
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data") / "ds"
@@ -399,6 +415,23 @@ def tiny_config(**kw):
                 widths="3,4,5", scale=2, units=1)
     args.update(kw)
     return TrainConfig(**args)
+
+
+def test_train_rejects_zero_workers(tiny_dataset, tmp_path):
+    with pytest.raises(ConfigError, match="^workers must be at least 1, got 0$"):
+        train(tiny_config(), tiny_dataset, tmp_path / "run", workers=0)
+
+
+def test_metrics_seconds_lie_within_the_run(tiny_dataset, tmp_path):
+    # each epoch's `seconds` is its own duration: at least 0, at most the
+    # whole call's wall time
+    start = time.perf_counter()
+    train(tiny_config(), tiny_dataset, tmp_path / "run", workers=1)
+    wall = time.perf_counter() - start
+    with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
+        seconds = [float(row["seconds"]) for row in csv.DictReader(fh)]
+    assert len(seconds) == 2
+    assert all(0.0 <= s <= wall for s in seconds), (seconds, wall)
 
 
 def test_train_smoke_and_artifacts(tiny_dataset, tmp_path):
