@@ -22,20 +22,21 @@ values.
 All scans run through one time loop over a stack of directions. A scan is
 laid out step-major, (steps, lines, C), and directions with the same
 (steps, lines) shape are stacked side by side on the line axis: all four on
-a square grid, otherwise left/right and top/bottom as two stacks. Stacking
-is exact. A one-way pixel reads only its own line, so blocks cannot meet.
-A three-way pixel reads the neighbouring lines too, so three-way stacks put
-one zero separator line before, between and after the blocks: a block's
-edge lines read an exact zero there, as a lone scan reads outside the grid,
-whatever the gate values (the boundary contract pins those gates to zero
-anyway, but `check=False` callers may not). The loops reset the separator
-lines to zero after every step, so they read zero even when an input or
-gradient is infinite or NaN (0 * inf is NaN), and such a value stays in its
-own direction as it would in a separate scan. Each step performs the same
-floating-point operations in the same order as a separate scan per
-direction would, so the results equal it exactly (a zero gradient entry may
-at most change sign, and a NaN may carry either sign: numpy's vectorised
-loops set it by an element's place in the loop).
+a square grid, otherwise left/right and top/bottom as two stacks.
+`ScanStack.blocks` owns that layout: it yields each direction's block of
+any array laid out like the stack. Stacking is exact. A one-way pixel reads only its own line,
+so blocks cannot meet. A three-way pixel reads the neighbouring lines too,
+so three-way stacks put one zero separator line before, between and after
+the blocks: a block's edge lines read an exact zero there, as a lone scan
+reads outside the grid, whatever the gate values (the boundary contract pins
+those gates to zero anyway, but `check=False` callers may not). The loops
+reset the separator lines to zero after every step, so they read zero even
+when an input or gradient is infinite or NaN (0 * inf is NaN), and such a
+value stays in its own direction as it would in a separate scan. Each step
+performs the same floating-point operations in the same order as a separate
+scan per direction would, so the results equal it exactly (a zero gradient
+entry may at most change sign, and a NaN may carry either sign: numpy's
+vectorised loops set it by an element's place in the loop).
 
 The reverse pass routes the max pool's gradient straight into each stack:
 a direction's block is one multiply of the gradient's bits, as unsigned
@@ -180,19 +181,20 @@ class ScanStack:
     Built from one (H, W, C, K) gate array per direction, cast to `dtype`.
     Each direction is a block of `lines` lines. The blocks sit side by
     side on the line axis in the order of `directions`; three-way stacks put
-    one zero separator line before, between and after them. `slots` is
-    (K, steps, rows, C) and `coef`, the input weight 1 - sum(p), is
-    (steps, rows, C): both are step-major, so one step is contiguous.
+    one zero separator line before, between and after them. `blocks` is the
+    one place that knows where a block starts. `slots` is (K, steps, rows, C)
+    and `coef`, the input weight 1 - sum(p), is (steps, rows, C): both are
+    step-major, so one step is contiguous.
     """
 
     def __init__(self, gate_dirs, directions, kind: ConnectionKind, dtype):
         self.kind = kind
         self.directions = tuple(directions)
         steps, self.lines, channels, k = _step_major(gate_dirs[0], directions[0]).shape
-        rows = self.rows(len(directions)).start  # where a next block would start
+        rows = self.pad + len(directions) * (self.lines + self.pad)
         self.slots = self._zero_separators(np.empty((k, steps, rows, channels), dtype=dtype))
-        for b, (g, d) in enumerate(zip(gate_dirs, directions)):
-            self.slots[:, :, self.rows(b)] = np.moveaxis(_step_major(g, d), -1, 0)
+        for g, (d, block) in zip(gate_dirs, self.blocks(self.slots)):
+            block[...] = np.moveaxis(_step_major(g, d), -1, 0)
         self.coef = 1.0 - self.slots[0]
         for s in self.slots[1:]:
             self.coef -= s
@@ -202,9 +204,13 @@ class ScanStack:
         """Separator lines before each block: 1 for three-way, else 0."""
         return int(self.kind == ConnectionKind.THREE_WAY)
 
-    def rows(self, block: int) -> slice:
-        start = self.pad + block * (self.lines + self.pad)
-        return slice(start, start + self.lines)
+    def blocks(self, arr: np.ndarray):
+        """Yield (direction, block view) for each direction of (..., rows, C)
+        `arr` laid out like the stack: the slots, a scan's input and output,
+        or its gradient."""
+        for b, d in enumerate(self.directions):
+            start = self.pad + b * (self.lines + self.pad)
+            yield d, arr[..., start:start + self.lines, :]
 
     @property
     def separators(self) -> slice:
@@ -217,13 +223,6 @@ class ScanStack:
             arr[..., self.separators, :] = 0
         return arr
 
-    def stack(self, grids) -> np.ndarray:
-        """One (H, W, C) grid per direction, as a zero-separated (steps, rows, C) array."""
-        out = self._zero_separators(np.empty_like(self.coef))
-        for b, (g, d) in enumerate(zip(grids, self.directions)):
-            out[:, self.rows(b)] = _step_major(g, d)
-        return out
-
     def route(self, grad: np.ndarray, winner: np.ndarray) -> np.ndarray:
         """The max pool's gradient in this stack's layout: the block of
         direction d holds (H, W, C) `grad`, every bit kept, where `winner`
@@ -231,26 +230,10 @@ class ScanStack:
         out = self._zero_separators(np.empty_like(self.coef))
         grad = grad.astype(out.dtype, copy=False)
         mask = np.empty(grad.shape, dtype=bool)
-        for b, d in enumerate(self.directions):
+        for d, block in self.blocks(out):
             np.equal(winner, d, out=mask)
-            keep_where(_step_major(grad, d), _step_major(mask, d), out=out[:, self.rows(b)])
+            keep_where(_step_major(grad, d), _step_major(mask, d), out=block)
         return out
-
-    def unstack(self, arr: np.ndarray, grids) -> None:
-        """Write each direction's block of a (steps, rows, C) array into its
-        (H, W, C) grid in `grids`, one per direction as for `stack`."""
-        for b, (g, d) in enumerate(zip(grids, self.directions)):
-            _step_major(g, d)[...] = arr[:, self.rows(b)]
-
-    def unstack_slots(self, slots: np.ndarray, grids) -> None:
-        """Write each direction's block of a (K, steps, rows, C) array, laid
-        out as `slots`, into its (H, W, C, K) grid in `grids`.
-
-        One copy per slot: a copy that put the slot axis innermost would
-        run its inner loop over three floats at a time.
-        """
-        for k, slot in enumerate(slots):
-            self.unstack(slot, [g[..., k] for g in grids])
 
 
 @dataclass
@@ -267,13 +250,16 @@ class ScanCache:
         return np.moveaxis(self.stack.slots, 0, -1)
 
 
-def _scan(stack: ScanStack, grids) -> ScanCache:
-    """Scan each direction of `stack` over its (H, W, C) grid in one time loop.
+def _scan(stack: ScanStack, x: np.ndarray) -> ScanCache:
+    """Scan each direction of `stack` over the (H, W, C) grid `x` in one
+    time loop.
 
     The input term (1 - sum(p)) * x is formed for every step up front; the
     loop adds the previous step's terms in the order the recurrence is written.
     """
-    xs = stack.stack(grids)
+    xs = stack._zero_separators(np.empty_like(stack.coef))
+    for d, block in stack.blocks(xs):
+        block[...] = _step_major(x, d)
     h = stack.coef * xs
     h[0] = xs[0]
     if stack.kind == ConnectionKind.ONE_WAY:
@@ -305,7 +291,7 @@ def _scan_backward(cache: ScanCache, g: np.ndarray, dslots: np.ndarray) -> None:
     """Exact reverse pass of one fused scan, in place.
 
     `g` is the upstream gradient in the stack's (steps, rows, C) layout, as
-    `ScanStack.stack` gives it; it is overwritten with the input gradient in
+    `ScanStack.route` gives it; it is overwritten with the input gradient in
     the same layout. The gate gradient is added into `dslots`, shaped like
     the stack's `slots`, with one subtract, multiply and add per slot over
     the whole stack. Entries of `dslots` on separator lines, and at gates
@@ -365,7 +351,8 @@ def propagate_direction(x: np.ndarray, gates_dir: np.ndarray,
     check_boundary_zeros(gates_dir, kind, direction)
     stack = ScanStack([gates_dir], (direction,), kind, x.dtype)
     h = np.empty_like(x)
-    stack.unstack(_scan(stack, [x]).h_scan, [h])
+    for d, block in stack.blocks(_scan(stack, x).h_scan):
+        _step_major(h, d)[...] = block
     return h
 
 
@@ -426,9 +413,10 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
     cur = x
     for _ in range(units):
         hs = np.empty((4,) + x.shape, dtype=x.dtype)
-        scans = [_scan(st, [cur] * len(st.directions)) for st in stacks]
+        scans = [_scan(st, cur) for st in stacks]
         for sc in scans:
-            sc.stack.unstack(sc.h_scan, [hs[d] for d in sc.stack.directions])
+            for d, block in sc.stack.blocks(sc.h_scan):
+                _step_major(hs[d], d)[...] = block
         cur, winner = integrate_max(hs)
         caches.append(UnitCache(scans, winner))
     return cur, caches
@@ -449,9 +437,7 @@ def _unit_backward(unit: UnitCache, grad: np.ndarray, dslots: list) -> np.ndarra
         _scan_backward(sc, g, acc)
     # ((d0 + d1) + d2) + d3, read straight from the directions' blocks
     dx = np.empty(grad.shape, dtype=gs[0].dtype)
-    blocks = [(d, g[:, st.rows(b)]) for st, g in zip(stacks, gs)
-              for b, d in enumerate(st.directions)]
-    (d, block), *rest = blocks
+    (d, block), *rest = [b for st, g in zip(stacks, gs) for b in st.blocks(g)]
     _step_major(dx, d)[...] = block
     for d, block in rest:
         view = _step_major(dx, d)
@@ -474,8 +460,12 @@ def spn_backward(grad: np.ndarray, caches: list):
     # and holding both through the units would raise the peak
     dgates = np.empty(grad.shape + (4, stacks[0].kind.gates_per_direction),
                       dtype=grad.dtype)
+    # one copy per slot: a copy that put the slot axis innermost would run
+    # its inner loop over three floats at a time
     for st, acc in zip(stacks, dslots):
-        st.unstack_slots(acc, [dgates[:, :, :, d, :] for d in st.directions])
+        for k, slot in enumerate(acc):
+            for d, block in st.blocks(slot):
+                _step_major(dgates[:, :, :, d, k], d)[...] = block
     return g, zero_boundary(dgates, stacks[0].kind)
 
 

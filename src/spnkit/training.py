@@ -265,10 +265,17 @@ def pipeline_signature(cache: dict) -> bytes:
 def refine_sample(params: dict, arch: Architecture, image: np.ndarray,
                   coarse: np.ndarray, allowed=None):
     """Predict labels for one sample: (pred (H, W) int32, the projected gates
-    used). Raises DimensionError under `check_sample`, and ContractError on a
-    non-finite logit: cascaded units can amplify the coarse map past the float
-    range, and its argmax would be a silent wrong answer."""
+    used). `allowed`, when given, is the nonempty set of classes in
+    [0, classes) to predict among. Raises DimensionError under `check_sample`
+    or on a bad `allowed`, and ContractError on a non-finite logit: cascaded
+    units can amplify the coarse map past the float range, and its argmax
+    would be a silent wrong answer."""
     check_sample(image, coarse, arch.classes)
+    if allowed is not None:
+        allowed = np.asarray(sorted(allowed), dtype=int)
+        if allowed.size == 0 or allowed[0] < 0 or allowed[-1] >= arch.classes:
+            raise DimensionError(f"allowed classes must be a nonempty subset of "
+                                 f"[0, {arch.classes}), got {allowed.tolist()}")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         logits, cache = pipeline_forward(params, arch, image, coarse)
     bad = ~np.isfinite(logits)
@@ -279,7 +286,7 @@ def refine_sample(params: dict, arch: Architecture, image: np.ndarray,
             f"{arch.units} propagation unit(s)", cache["gates"], arch.kind))
     if allowed is not None:
         block = np.full(logits.shape[2], -np.inf, dtype=logits.dtype)
-        block[np.asarray(sorted(allowed), dtype=int)] = 0.0
+        block[allowed] = 0.0
         logits = logits + block
     return logits.argmax(axis=2).astype(np.int32), cache["gates"]
 

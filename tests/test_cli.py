@@ -151,6 +151,23 @@ def test_gradcheck_passes(capsys):
     assert total >= 120
 
 
+def test_gradcheck_fails_when_fewer_coordinates_are_checked_than_asked(capsys):
+    rc, out, _ = run(capsys, "gradcheck", "--coords", "1000")
+    assert rc == 1
+    assert "total coordinates checked: 843\n" in out
+    assert has_line(out, "coverage: FAIL (only 843 coordinates checked, wanted 1000)")
+
+
+def test_verify_max_size_2_builds_only_2x2_grids(capsys, monkeypatch):
+    shapes = []
+    real = cli.random_gates
+    monkeypatch.setattr(cli, "random_gates",
+                        lambda h, w, *a, **k: shapes.append((h, w)) or real(h, w, *a, **k))
+    rc, _, _ = run(capsys, "verify", "--trials", "8", "--max-size", "2")
+    assert rc == 0
+    assert shapes == [(2, 2)] * 8
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--trials", "2", "--max-size", "6"), ("gradcheck", "--coords", "80"),
 ], ids=["verify", "gradcheck"])
@@ -710,6 +727,16 @@ def test_empty_split_exit_2(capsys, trained, tmp_path, command, split):
     assert rc == 2
     assert err == f"error: manifest has no {split} items\n"
     assert "IoU" not in out and not (tmp_path / "run" / "last").exists()
+
+
+@pytest.mark.parametrize("widths", ["8,16", "8,0,32"])
+def test_train_rejects_widths_before_reading_data(capsys, tmp_path, widths):
+    # the data directory does not exist: the widths are refused first
+    rc, out, err = run(capsys, "train", "--data", str(tmp_path / "none"), "--out",
+                       str(tmp_path / "run"), "--widths", widths)
+    assert rc == 2
+    assert err == f"error: widths must be three positive ints, got ({widths.replace(',', ', ')})\n"
+    assert out == "" and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag,value,key", [

@@ -15,6 +15,7 @@ from spnkit.propagation import (
     boundary_mask,
     check_boundary_zeros,
     ScanStack,
+    _step_major,
     integrate_max,
     propagate_direction,
     random_gates,
@@ -32,7 +33,7 @@ THREE = ConnectionKind.THREE_WAY
 
 def integrate_max_backward(grad, winner):
     """The max pool's gradient as a zeroed (4, H, W, C) array and a
-    `put_along_axis`: what `ScanStack.route` replaced, with `ScanStack.stack`."""
+    `put_along_axis`: what `ScanStack.route` replaced, with `stacked`."""
     out = np.zeros((4,) + grad.shape, dtype=grad.dtype)
     np.put_along_axis(out, winner[None], grad[None], axis=0)
     return out
@@ -138,6 +139,13 @@ def test_boundary_contract_raises():
         propagate_direction(x, g3, Direction.LEFT_TO_RIGHT, THREE)
 
 
+def test_spn_forward_checks_the_boundary_by_default():
+    g = zero_boundary(np.full((3, 4, 1, 4, 3), 0.1), THREE)
+    g[2, 0, 0, Direction.BOTTOM_TO_TOP, GATE_SAME] = 0.1  # its first step
+    with pytest.raises(ContractError, match="boundary gate must be zero"):
+        spn_forward(np.zeros((3, 4, 1)), g, THREE)
+
+
 @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 2, 1)])
 def test_scan_rejects_input_not_hwc(shape):
     # gates shaped like the input plus the slot axes used to pass the shape
@@ -236,7 +244,8 @@ def test_integrate_max_backward_routes_single_winner():
     st = ScanStack([gates[:, :, :, d, :] for d in Direction], tuple(Direction),
                    THREE, grad.dtype)
     back = np.empty((4,) + grad.shape)
-    st.unstack(st.route(grad, winner), back)
+    for d, block in st.blocks(st.route(grad, winner)):
+        _step_major(back[d], d)[...] = block
     np.testing.assert_allclose(back.sum(axis=0), grad)
     assert (np.count_nonzero(back, axis=0) <= 1).all()
 
@@ -598,6 +607,15 @@ def test_integrate_max_matches_argmax_reference(dtype):
                               grad, equal_nan=True)
 
 
+def stacked(st, grids):
+    """One (H, W, C) grid per direction of `st`, step-major, joined on the
+    line axis with a zero separator line before, between and after them for
+    three-way: the stack's layout built by concatenation, not `blocks`."""
+    scans = [_to_scan(g, d).swapaxes(0, 1) for g, d in zip(grids, st.directions)]
+    sep = [np.zeros_like(scans[0][:, :1])] if st.kind == THREE else []
+    return np.concatenate(sep + [a for s in scans for a in (s, *sep)], axis=1)
+
+
 @pytest.mark.parametrize("height,width", [(6, 6), (5, 8), (1, 1), (1, 4)])
 def test_routed_stack_matches_put_and_stack(height, width):
     # the max pool's gradient written straight into each stack against a
@@ -621,12 +639,12 @@ def test_routed_stack_matches_put_and_stack(height, width):
             grad.flat[4::13] = -np.nan
             routed = integrate_max_backward(grad, winner)
             for st in stacks:
-                want = st.stack([routed[d] for d in st.directions])
+                want = stacked(st, [routed[d] for d in st.directions])
                 assert_same_bits(st.route(grad, winner), want)
                 with pytest.raises(AssertionError, match="differ in their bits"), \
                      np.errstate(invalid="ignore"):
-                    assert_same_bits(st.stack([grad * (winner == d) for d in st.directions]),
-                                     want)
+                    assert_same_bits(
+                        stacked(st, [grad * (winner == d) for d in st.directions]), want)
 
 
 def scan_view_boundary_mask(height, width, kind):

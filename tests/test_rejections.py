@@ -4,16 +4,18 @@ the test's temporary directory."""
 import numpy as np
 import pytest
 
+from spnkit.affinity import DenseAffinity, build_dense_affinity, unvec_map, vec_map
 from spnkit.dataset import (gen_toy_dataset, labels_to_map, make_coarse, one_hot,
                             read_manifest)
 from spnkit.errors import ConfigError, DimensionError, FormatError
 from spnkit.fdcheck import check_gradient
 from spnkit.guidance import conv3x3_forward
-from spnkit.propagation import ConnectionKind, spn_forward, step_matrix
+from spnkit.propagation import ConnectionKind, Direction, spn_forward, step_matrix
 from spnkit.stability import gate_abs_sums
 from spnkit.tensor import write_array
 
 THREE = ConnectionKind.THREE_WAY
+LTR = Direction.LEFT_TO_RIGHT
 TMP = object()
 
 
@@ -38,6 +40,15 @@ ROWS = [
      DimensionError, "units must be >= 1"),
     ("step_matrix-slots", step_matrix, (np.zeros((5, 1)), THREE), DimensionError,
      "gate line has 1 slots, kind needs 3"),
+    ("vec_map-rank-2", vec_map, (np.zeros((3, 4)), LTR), DimensionError,
+     "vec_map expects (H, W, C)"),
+    *((f"unvec_map-rows-{n}", unvec_map, (np.zeros((n, 2)), 3, 4, LTR), DimensionError,
+       "unvec_map expects (H*W, C)") for n in (11, 13)),
+    ("DenseAffinity.apply-grid", DenseAffinity(np.zeros((2, 12, 12)), 4, 3, LTR).apply,
+     (X,), DimensionError, "input and gate grids disagree"),
+    ("build_dense_affinity-slots", build_dense_affinity,
+     (np.zeros((3, 4, 2, 1)), LTR, THREE), DimensionError,
+     "gates shaped (3, 4, 2, 1), expected (H, W, C, 3)"),
     ("gate_abs_sums-shape", gate_abs_sums, (np.zeros((3, 4, 2, 4, 1)), THREE),
      DimensionError, "gates shaped (3, 4, 2, 4, 1), expected (H, W, C, 4, 3)"),
     ("conv-channels", conv3x3_forward, (X, np.zeros((3, 3, 3, 4)), np.zeros(4)),

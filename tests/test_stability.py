@@ -99,6 +99,24 @@ def test_projection_backward_identity_region():
     np.testing.assert_array_equal(back, grad)
 
 
+def test_projection_backward_passes_grad_at_a_sum_of_exactly_one():
+    # at sum |p| = 1 the projection is not active: the backward takes the
+    # identity side, not the rescaling's
+    g = embed([0.25, -0.5, 0.25], THREE)
+    assert gate_abs_sums(g, THREE)[1, 1, 0, 0] == 1.0
+    _, cache = project_gates_cached(g, THREE)
+    grad = np.random.default_rng(6).standard_normal(g.shape)
+    assert project_gates_backward(grad, cache) is grad
+
+
+def test_verify_stability_counts_no_row_at_exactly_the_limit():
+    limit = 1.0 + STABILITY_TOL
+    rep = verify_stability(embed([limit], ONE), ONE)
+    assert rep.max_abs_sum == limit and rep.ok
+    assert rep.pixels_exceeding == 0
+    assert [n for _, _, n in rep.per_direction] == [0, 0, 0, 0]
+
+
 def general_projection_backward(grad, cache):
     """The rescaling's backward written out for every row, scaled or not."""
     raw, out, denom, active = cache

@@ -3,6 +3,7 @@ import errno
 import io
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import sys
@@ -214,6 +215,17 @@ def test_refine_sample_rejects_a_broken_coarse_map(defect, message):
         refine_sample(params, arch, image, coarse)
 
 
+@pytest.mark.parametrize("allowed", [[], [-1], [5]], ids=["empty", "minus-1", "5-of-2"])
+def test_refine_sample_rejects_a_bad_allowed_set(allowed):
+    # the first two used to predict silently, all class 0 (every logit
+    # -inf) and all class 1 (-1 indexes from the end); the third raised
+    # IndexError
+    arch, params, image, coarse, _ = small_setup(np.float32, size=16)
+    message = f"allowed classes must be a nonempty subset of [0, 2), got {allowed}"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        refine_sample(params, arch, image, coarse, allowed)
+
+
 @pytest.mark.parametrize("pixel", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("entry,what", [
     (lambda arch, params, image, coarse, labels:
@@ -355,6 +367,7 @@ def test_iou_accumulator_frozen():
 
 def test_iou_skips_absent_classes():
     acc = IoUAccumulator(3)
+    assert acc.mean() == 0.0  # no class seen yet
     acc.update(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
     assert acc.mean() == 1.0
     assert acc.inter.tolist() == [4, 0, 0] and acc.union.tolist() == [4, 0, 0]
