@@ -38,18 +38,34 @@ scan per direction would, so the results equal it exactly (a zero gradient
 entry may at most change sign, and a NaN may carry either sign: numpy's
 vectorised loops set it by an element's place in the loop).
 
+Every pass over a stack-shaped array works on pieces of about
+`CHUNK_BYTES`, so that a piece is still in a core's L2 cache when the next
+operation reads it. The scan goes by runs of steps (`ScanStack.chunks`): a
+chunk's input weight 1 - sum(p) is formed in the output from the slots and
+multiplied by the chunk's input, stacked into a chunk buffer, and the time
+loop runs over the chunk's steps. Neither the stacked input nor the input
+weight is kept: a scan's cache holds the unit's (H, W, C) grid input, and
+the reverse pass forms both again chunk by chunk. The copies between the
+grid and the stack, of the gates into the slots and of the gate gradient
+out to the (H, W, C, 4, K) grid, go by blocks of grid rows
+(`ScanStack.row_blocks`): there the direction and slot axes are innermost,
+so each block of the grid array is read or written once for all
+directions. Chunks change no result: every element gets the same
+operations in the same order at any budget.
+
 The reverse pass routes the max pool's gradient straight into each stack:
 a direction's block is one multiply of the gradient's bits, as unsigned
 integers, by the mask of the nodes that direction won, so every routed bit,
 NaN and -0 included, is the gradient's own and the others are +0, with no
 (4, H, W, C) routed copy in between. It keeps each stack's gate gradient in
-the stack's layout, shaped like its gates, through all units: every unit
-adds its part with one subtract, multiply and add per slot over the whole
-stack. The result is written to the (H, W, C, 4, K) grid once, after the
-last unit; there the slot and direction axes are innermost, so a write per
-unit would be a strided one. The pinned gates' gradients are then set to
-zero: they are not free parameters, and in the stack they read across block
-edges.
+the stack's layout, shaped like its gates, through all units. Chunk by
+chunk, last first, a unit completes the adjoint of the chunk's steps and,
+while they are in cache, adds its part of the gate gradient with one
+subtract, multiply and add per slot and forms the input gradient with one
+multiply. The result is written to the grid once, after the last unit; a
+write per unit would be a strided one. The pinned gates' gradients are then
+set to zero: they are not free parameters, and in the stack they read
+across block edges.
 """
 from __future__ import annotations
 
@@ -175,6 +191,24 @@ def _direction_groups(height: int, width: int) -> tuple:
             (Direction.TOP_TO_BOTTOM, Direction.BOTTOM_TO_TOP))
 
 
+# The bytes of a stack-shaped (steps, rows, C) array that a pass works on at
+# a time: a run of its steps, or its part that holds a block of grid rows, is
+# about this large, so that it is still in a core's L2 cache when the pass's
+# next operation reads it.
+CHUNK_BYTES = 256 * 1024
+
+
+def _grid_rows(direction: Direction, rows: slice, steps: int) -> tuple:
+    """The (step, line) slices that pick grid rows `rows` out of a
+    direction's step-major view with `steps` steps: `_step_major(a, d)[s, l]`
+    is `_step_major(a[rows], d)`."""
+    if direction in (Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT):
+        return slice(None), rows
+    if direction == Direction.TOP_TO_BOTTOM:
+        return rows, slice(None)
+    return slice(steps - rows.stop, steps - rows.start), slice(None)
+
+
 class ScanStack:
     """Gates of one or more directions laid out for one fused scan.
 
@@ -182,35 +216,40 @@ class ScanStack:
     Each direction is a block of `lines` lines. The blocks sit side by
     side on the line axis in the order of `directions`; three-way stacks put
     one zero separator line before, between and after them. `blocks` is the
-    one place that knows where a block starts. `slots` is (K, steps, rows, C)
-    and `coef`, the input weight 1 - sum(p), is (steps, rows, C): both are
-    step-major, so one step is contiguous.
+    one place that knows where a block starts. `slots` is (K, steps, rows, C),
+    step-major, so one step is contiguous. The input weight 1 - sum(p) is
+    not stored: `input_weight` forms it for a run of steps where it is used.
     """
 
     def __init__(self, gate_dirs, directions, kind: ConnectionKind, dtype):
         self.kind = kind
         self.directions = tuple(directions)
+        self.height = gate_dirs[0].shape[0]
         steps, self.lines, channels, k = _step_major(gate_dirs[0], directions[0]).shape
         rows = self.pad + len(directions) * (self.lines + self.pad)
         self.slots = self._zero_separators(np.empty((k, steps, rows, channels), dtype=dtype))
-        for g, (d, block) in zip(gate_dirs, self.blocks(self.slots)):
-            block[...] = np.moveaxis(_step_major(g, d), -1, 0)
-        self.coef = 1.0 - self.slots[0]
-        for s in self.slots[1:]:
-            self.coef -= s
+        # a block of grid rows is read once for every direction
+        for r in self.row_blocks():
+            for g, (d, block) in zip(gate_dirs, self.blocks(self.slots, r)):
+                block[...] = np.moveaxis(_step_major(g[r], d), -1, 0)
 
     @property
     def pad(self) -> int:
         """Separator lines before each block: 1 for three-way, else 0."""
         return int(self.kind == ConnectionKind.THREE_WAY)
 
-    def blocks(self, arr: np.ndarray):
-        """Yield (direction, block view) for each direction of (..., rows, C)
-        `arr` laid out like the stack: the slots, a scan's input and output,
-        or its gradient."""
+    def blocks(self, arr: np.ndarray, rows: slice | None = None):
+        """Yield (direction, block view) for each direction of
+        (..., steps, rows, C) `arr` laid out like the stack: the slots, a
+        scan's output, or its gradient. With `rows`, a slice of grid rows,
+        each block holds only those grid rows, as `_step_major` orders
+        them."""
         for b, d in enumerate(self.directions):
             start = self.pad + b * (self.lines + self.pad)
-            yield d, arr[..., start:start + self.lines, :]
+            block = arr[..., start:start + self.lines, :]
+            if rows is not None:
+                block = block[(..., *_grid_rows(d, rows, arr.shape[-3]), slice(None))]
+            yield d, block
 
     @property
     def separators(self) -> slice:
@@ -223,11 +262,45 @@ class ScanStack:
             arr[..., self.separators, :] = 0
         return arr
 
+    @property
+    def chunk_steps(self) -> int:
+        """Steps per chunk: a (steps, rows, C) chunk is about CHUNK_BYTES,
+        and at least one step."""
+        return max(1, CHUNK_BYTES // self.slots[0, 0].nbytes)
+
+    def chunks(self):
+        """(start, stop) of each chunk of steps, in scan order; the last
+        may be shorter."""
+        steps, n = self.slots.shape[1], self.chunk_steps
+        return [(a, min(a + n, steps)) for a in range(0, steps, n)]
+
+    def row_blocks(self):
+        """Slices of grid rows whose part of a (steps, rows, C) array is
+        about CHUNK_BYTES: at least one row."""
+        n = max(1, CHUNK_BYTES * self.height // self.slots[0].nbytes)
+        return [slice(r, min(r + n, self.height)) for r in range(0, self.height, n)]
+
+    def stacked_input(self, x: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
+        """The steps from `start` of the (H, W, C) grid `x` in the stack's
+        layout, written to (steps, rows, C) `out` with zero separator lines;
+        returns `out`."""
+        for d, block in self.blocks(self._zero_separators(out)):
+            block[...] = _step_major(x, d)[start:start + len(out)]
+        return out
+
+    def input_weight(self, start: int, out: np.ndarray) -> np.ndarray:
+        """1 - sum(p) of the steps from `start`, written to (steps, rows, C)
+        `out`; returns `out`. One on the separator lines."""
+        np.subtract(1.0, self.slots[0, start:start + len(out)], out=out)
+        for s in self.slots[1:]:
+            out -= s[start:start + len(out)]
+        return out
+
     def route(self, grad: np.ndarray, winner: np.ndarray) -> np.ndarray:
         """The max pool's gradient in this stack's layout: the block of
         direction d holds (H, W, C) `grad`, every bit kept, where `winner`
         is d, and +0 elsewhere (`keep_where`); separators are zero."""
-        out = self._zero_separators(np.empty_like(self.coef))
+        out = self._zero_separators(np.empty_like(self.slots[0]))
         grad = grad.astype(out.dtype, copy=False)
         mask = np.empty(grad.shape, dtype=bool)
         for d, block in self.blocks(out):
@@ -238,10 +311,12 @@ class ScanStack:
 
 @dataclass
 class ScanCache:
-    """Input and output of one fused scan, step-major in the stack's layout."""
+    """One fused scan: its stack, its (H, W, C) grid input `x`, which it
+    shares with the unit's other scan, and its output `h_scan`, step-major
+    in the stack's layout."""
 
     stack: ScanStack
-    x_scan: np.ndarray
+    x: np.ndarray
     h_scan: np.ndarray
 
     @property
@@ -254,37 +329,42 @@ def _scan(stack: ScanStack, x: np.ndarray) -> ScanCache:
     """Scan each direction of `stack` over the (H, W, C) grid `x` in one
     time loop.
 
-    The input term (1 - sum(p)) * x is formed for every step up front; the
-    loop adds the previous step's terms in the order the recurrence is written.
+    Chunk by chunk (`ScanStack.chunks`), the input term (1 - sum(p)) * x is
+    formed in the output, from x stacked into a chunk buffer, and the loop
+    adds the previous step's terms in the order the recurrence is written.
     """
-    xs = stack._zero_separators(np.empty_like(stack.coef))
-    for d, block in stack.blocks(xs):
-        block[...] = _step_major(x, d)
-    h = stack.coef * xs
-    h[0] = xs[0]
+    h = np.empty_like(stack.slots[0])
+    xs = np.empty_like(h[:stack.chunk_steps])
     if stack.kind == ConnectionKind.ONE_WAY:
         p = stack.slots[0]
         tmp = np.empty_like(h[0])
-        for t in range(1, len(h)):
-            np.multiply(p[t], h[t - 1], out=tmp)
-            h[t] += tmp
-        return ScanCache(stack, xs, h)
-    # the rows between the outer separator lines are updated whole and the
-    # separators reset each step, so a non-finite value cannot reach the
-    # next block through them (0 * inf is NaN)
-    pu, pm, pd = stack.slots[:, :, 1:-1]
-    sep = stack.separators
-    tmp = np.empty_like(h[0, 1:-1])
-    for t in range(1, len(h)):
-        prev, row = h[t - 1], h[t, 1:-1]
-        np.multiply(pu[t], prev[:-2], out=tmp)
-        row += tmp
-        np.multiply(pm[t], prev[1:-1], out=tmp)
-        row += tmp
-        np.multiply(pd[t], prev[2:], out=tmp)
-        row += tmp
-        h[t, sep] = 0.0
-    return ScanCache(stack, xs, h)
+    else:
+        # the rows between the outer separator lines are updated whole and
+        # the separators reset each step, so a non-finite value cannot reach
+        # the next block through them (0 * inf is NaN)
+        pu, pm, pd = stack.slots[:, :, 1:-1]
+        sep = stack.separators
+        tmp = np.empty_like(h[0, 1:-1])
+    for a, b in stack.chunks():
+        np.multiply(stack.input_weight(a, h[a:b]), stack.stacked_input(x, a, xs[:b - a]),
+                    out=h[a:b])
+        if a == 0:
+            h[0] = xs[0]
+        if stack.kind == ConnectionKind.ONE_WAY:
+            for t in range(max(a, 1), b):
+                np.multiply(p[t], h[t - 1], out=tmp)
+                h[t] += tmp
+            continue
+        for t in range(max(a, 1), b):
+            prev, row = h[t - 1], h[t, 1:-1]
+            np.multiply(pu[t], prev[:-2], out=tmp)
+            row += tmp
+            np.multiply(pm[t], prev[1:-1], out=tmp)
+            row += tmp
+            np.multiply(pd[t], prev[2:], out=tmp)
+            row += tmp
+            h[t, sep] = 0.0
+    return ScanCache(stack, x, h)
 
 
 def _scan_backward(cache: ScanCache, g: np.ndarray, dslots: np.ndarray) -> None:
@@ -293,46 +373,57 @@ def _scan_backward(cache: ScanCache, g: np.ndarray, dslots: np.ndarray) -> None:
     `g` is the upstream gradient in the stack's (steps, rows, C) layout, as
     `ScanStack.route` gives it; it is overwritten with the input gradient in
     the same layout. The gate gradient is added into `dslots`, shaped like
-    the stack's `slots`, with one subtract, multiply and add per slot over
-    the whole stack. Entries of `dslots` on separator lines, and at gates
-    the boundary contract pins to zero, hold no gradient: `spn_backward`
-    zeros the pinned ones after writing the blocks to the grid.
+    the stack's `slots`. Chunk by chunk, last first, the loop completes the
+    adjoint of h on the chunk's steps; then, while they are in cache, each
+    slot's gate gradient gets one subtract, multiply and add, and the input
+    gradient one multiply. Entries of `dslots` on separator lines, and at
+    gates the boundary contract pins to zero, hold no gradient:
+    `spn_backward` zeros the pinned ones after writing the blocks to the
+    grid.
     """
     st = cache.stack
     if st.kind == ConnectionKind.ONE_WAY:
         p = st.slots[0]
         carry = np.empty_like(g[0])
-        for t in range(len(g) - 1, 0, -1):
-            np.multiply(p[t], g[t], out=carry)
-            g[t - 1] += carry
     else:
         pu, pm, pd = st.slots
         pu, pd = pu[:, 1:], pd[:, :-1]
         sep = st.separators
         carry = np.empty_like(g[0])
         tmp = np.empty_like(g[0, 1:])
-        for t in range(len(g) - 1, 0, -1):
-            gt = g[t]
-            np.multiply(pm[t], gt, out=carry)
-            np.multiply(pu[t], gt[1:], out=tmp)
-            carry[:-1] += tmp
-            np.multiply(pd[t], gt[:-1], out=tmp)
-            carry[1:] += tmp
-            g[t - 1] += carry
-            g[t - 1, sep] = 0.0
-    # g now holds the adjoint of h at every step; slot k of row r reads
-    # previous-step row r + k - pad, so the rows between the outer
-    # separators see every neighbour they need
+    # slot k of row r reads previous-step row r + k - pad, so the rows
+    # between the outer separators see every neighbour they need
     core = slice(st.pad, g.shape[1] - st.pad)
-    x, gn = cache.x_scan[1:, core], g[1:, core]
-    prev = cache.h_scan[:-1]
-    part = np.empty_like(x)
-    for k, acc in enumerate(dslots[:, 1:, core]):
-        np.subtract(prev[:, k:k + part.shape[1]], x, out=part)
-        part *= gn
-        acc += part
-    # the input gradient: (1 - sum(p)) * g, and g itself on the first step
-    np.multiply(st.coef[1:], g[1:], out=g[1:])
+    buf = np.empty_like(g[:st.chunk_steps])
+    part = np.empty_like(buf[:, core])
+    for a, b in reversed(st.chunks()):
+        lo = max(a, 1)
+        if st.kind == ConnectionKind.ONE_WAY:
+            for t in range(b - 1, lo - 1, -1):
+                np.multiply(p[t], g[t], out=carry)
+                g[t - 1] += carry
+        else:
+            for t in range(b - 1, lo - 1, -1):
+                gt = g[t]
+                np.multiply(pm[t], gt, out=carry)
+                np.multiply(pu[t], gt[1:], out=tmp)
+                carry[:-1] += tmp
+                np.multiply(pd[t], gt[:-1], out=tmp)
+                carry[1:] += tmp
+                g[t - 1] += carry
+                g[t - 1, sep] = 0.0
+        # g now holds the adjoint of h on steps lo..b-1; the first step
+        # has no gates, and its input gradient is g itself
+        if lo == b:
+            continue
+        x = st.stacked_input(cache.x, lo, buf[:b - lo])[:, core]
+        gn, prev, res = g[lo:b, core], cache.h_scan[lo - 1:b - 1], part[:b - lo]
+        for k, acc in enumerate(dslots[:, lo:b, core]):
+            np.subtract(prev[:, k:k + res.shape[1]], x, out=res)
+            res *= gn
+            acc += res
+        # the input gradient: (1 - sum(p)) * g
+        np.multiply(st.input_weight(lo, buf[:b - lo]), g[lo:b], out=g[lo:b])
 
 
 def _check_inputs(x: np.ndarray, gates: np.ndarray, slots: tuple) -> None:
@@ -410,7 +501,7 @@ def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
                         kind, x.dtype)
               for group in _direction_groups(x.shape[0], x.shape[1])]
     caches = []
-    cur = x
+    cur = x.copy()  # the first unit's cached input stays apart from the caller's
     for _ in range(units):
         hs = np.empty((4,) + x.shape, dtype=x.dtype)
         scans = [_scan(st, cur) for st in stacks]
@@ -463,9 +554,10 @@ def spn_backward(grad: np.ndarray, caches: list):
     # one copy per slot: a copy that put the slot axis innermost would run
     # its inner loop over three floats at a time
     for st, acc in zip(stacks, dslots):
-        for k, slot in enumerate(acc):
-            for d, block in st.blocks(slot):
-                _step_major(dgates[:, :, :, d, k], d)[...] = block
+        for r in st.row_blocks():
+            for k, slot in enumerate(acc):
+                for d, block in st.blocks(slot, r):
+                    _step_major(dgates[r, :, :, d, k], d)[...] = block
     return g, zero_boundary(dgates, stacks[0].kind)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spnkit.errors import ContractError, DimensionError
+from spnkit import propagation
 from spnkit.fdcheck import check_gradient
 from spnkit.propagation import (
     DIRECTION_NAMES,
@@ -14,7 +15,10 @@ from spnkit.propagation import (
     GATE_NEXT,
     boundary_mask,
     check_boundary_zeros,
+    ScanCache,
     ScanStack,
+    _direction_groups,
+    _grid_rows,
     _step_major,
     integrate_max,
     propagate_direction,
@@ -557,6 +561,233 @@ def test_fused_scan_keeps_non_finite_input_to_its_direction(bad):
                 ref_dx, ref_dg = ref_spn_backward(w, ref_caches, kind)
                 assert np.array_equal(dx, ref_dx, equal_nan=True)
                 assert np.array_equal(dg, ref_dg, equal_nan=True)
+
+
+# --- the chunked scan against the whole-array bodies it replaced --------
+#
+# `_scan` and `_scan_backward` work on runs of steps, and the stack's grid
+# copies on blocks of grid rows, of about CHUNK_BYTES each. Below are the
+# bodies they replaced: every operation over the whole stack at once, with
+# the stacked input and the input weight held whole. The chunked code does
+# the same operations on every element in the same order, so the results
+# are bit-identical at any budget.
+
+
+def _whole_input_and_weight(stack, x):
+    coef = 1.0 - stack.slots[0]
+    for s in stack.slots[1:]:
+        coef -= s
+    xs = np.zeros_like(coef)
+    for d, block in stack.blocks(xs):
+        block[...] = _step_major(x, d)
+    return xs, coef
+
+
+def whole_scan(stack, x):
+    """`_scan` as one pass per operation over the whole stack."""
+    xs, coef = _whole_input_and_weight(stack, x)
+    h = coef * xs
+    h[0] = xs[0]
+    if stack.kind == ONE:
+        p = stack.slots[0]
+        tmp = np.empty_like(h[0])
+        for t in range(1, len(h)):
+            np.multiply(p[t], h[t - 1], out=tmp)
+            h[t] += tmp
+        return ScanCache(stack, x, h)
+    pu, pm, pd = stack.slots[:, :, 1:-1]
+    sep = stack.separators
+    tmp = np.empty_like(h[0, 1:-1])
+    for t in range(1, len(h)):
+        prev, row = h[t - 1], h[t, 1:-1]
+        np.multiply(pu[t], prev[:-2], out=tmp)
+        row += tmp
+        np.multiply(pm[t], prev[1:-1], out=tmp)
+        row += tmp
+        np.multiply(pd[t], prev[2:], out=tmp)
+        row += tmp
+        h[t, sep] = 0.0
+    return ScanCache(stack, x, h)
+
+
+def whole_scan_backward(cache, g, dslots):
+    """`_scan_backward` as one pass per operation over the whole stack."""
+    st = cache.stack
+    if st.kind == ONE:
+        p = st.slots[0]
+        carry = np.empty_like(g[0])
+        for t in range(len(g) - 1, 0, -1):
+            np.multiply(p[t], g[t], out=carry)
+            g[t - 1] += carry
+    else:
+        pu, pm, pd = st.slots
+        pu, pd = pu[:, 1:], pd[:, :-1]
+        sep = st.separators
+        carry = np.empty_like(g[0])
+        tmp = np.empty_like(g[0, 1:])
+        for t in range(len(g) - 1, 0, -1):
+            gt = g[t]
+            np.multiply(pm[t], gt, out=carry)
+            np.multiply(pu[t], gt[1:], out=tmp)
+            carry[:-1] += tmp
+            np.multiply(pd[t], gt[:-1], out=tmp)
+            carry[1:] += tmp
+            g[t - 1] += carry
+            g[t - 1, sep] = 0.0
+    xs, coef = _whole_input_and_weight(st, cache.x)
+    core = slice(st.pad, g.shape[1] - st.pad)
+    x, gn = xs[1:, core], g[1:, core]
+    prev = cache.h_scan[:-1]
+    part = np.empty_like(x)
+    for k, acc in enumerate(dslots[:, 1:, core]):
+        np.subtract(prev[:, k:k + part.shape[1]], x, out=part)
+        part *= gn
+        acc += part
+    np.multiply(coef[1:], g[1:], out=g[1:])
+
+
+def _chunked_and_whole(monkeypatch, x, gates, kind, units, w, budget):
+    """spn_forward and spn_backward at `budget` bytes per chunk, and with
+    the whole-array bodies in one chunk: ((out, dx, dgates), same)."""
+    runs = []
+    for chunk_bytes, bodies in ((budget, (propagation._scan, propagation._scan_backward)),
+                                (2**62, (whole_scan, whole_scan_backward))):
+        with monkeypatch.context() as m:
+            m.setattr(propagation, "CHUNK_BYTES", chunk_bytes)
+            m.setattr(propagation, "_scan", bodies[0])
+            m.setattr(propagation, "_scan_backward", bodies[1])
+            out, caches = spn_forward(x, gates, kind, units, check=False)
+            for sc in caches[0].scans:
+                chunks = sc.stack.chunks()
+                if chunk_bytes == budget:
+                    assert len(chunks) >= 3 and chunks[-1][1] - chunks[-1][0] == 1
+                    assert len(sc.stack.row_blocks()) >= 3
+                else:
+                    assert len(chunks) == 1 and len(sc.stack.row_blocks()) == 1
+            runs.append((out, *spn_backward(w, caches)))
+    return runs
+
+
+def _budget(height, width, channels, kind, dtype, steps):
+    """The budget that gives the first stack `steps` steps per chunk."""
+    group = _direction_groups(height, width)[0]
+    gates = np.zeros((height, width, channels, kind.gates_per_direction))
+    st = ScanStack([gates] * len(group), group, kind, dtype)
+    return steps * st.slots[0, 0].nbytes
+
+
+# square grids make one stack, the others two; with `steps` per chunk of
+# the first stack, every stack's last chunk is a single step
+CHUNKED_GRIDS = [(13, 13, 4), (10, 13, 4), (13, 10, 3)]
+
+
+@pytest.mark.parametrize("height,width,steps", CHUNKED_GRIDS)
+@pytest.mark.parametrize("kind", [ONE, THREE])
+@pytest.mark.parametrize("units", [1, 2])
+def test_chunked_scan_matches_whole_array_bodies(monkeypatch, height, width, steps,
+                                                  kind, units):
+    rng = np.random.default_rng(200 + 10 * height + width + units)
+    for dtype in (np.float32, np.float64):
+        gates = random_gates(height, width, 3, kind, rng, low=-0.5, high=0.6).astype(dtype)
+        x = rng.standard_normal((height, width, 3)).astype(dtype)
+        w = rng.standard_normal(x.shape).astype(dtype)
+        budget = _budget(height, width, 3, kind, dtype, steps)
+        for chunk_bytes in (budget, 1):
+            chunked, whole = _chunked_and_whole(monkeypatch, x, gates, kind, units, w,
+                                                chunk_bytes)
+            for a, b in zip(chunked, whole):
+                assert_same_bits(a, b)
+        monkeypatch.setattr(propagation, "CHUNK_BYTES", budget)
+        _assert_matches_reference(x, gates, kind, units, True)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("height,width,steps", CHUNKED_GRIDS)
+@np.errstate(invalid="ignore", over="ignore")
+def test_chunked_scan_keeps_non_finite_values_to_their_direction(monkeypatch, bad, height,
+                                                                  width, steps):
+    # a non-finite input or upstream gradient on either side of a chunk
+    # edge stays in its own direction, as in a separate scan per direction
+    rng = np.random.default_rng(300 + 10 * height + width)
+    for kind in (ONE, THREE):
+        for contract in (True, False):
+            gates = (random_gates(height, width, 2, kind, rng, high=0.3) if contract else
+                     rng.uniform(0.05, 0.3, (height, width, 2, 4, kind.gates_per_direction)))
+            x = rng.standard_normal((height, width, 2))
+            w = rng.standard_normal(x.shape)
+            # on both sides of the first chunk edge, and on the last step
+            for r, c in ((steps - 1, steps), (steps, steps - 1), (height - 1, width - 1)):
+                x[r, c, 0] = bad
+                w[r, c, 1] = bad
+            budget = _budget(height, width, 2, kind, np.float64, steps)
+            chunked, whole = _chunked_and_whole(monkeypatch, x, gates, kind, 2, w, budget)
+            ref_out, ref_caches = ref_spn_forward(x, gates, kind, 2)
+            assert np.isfinite(ref_out).any() and not np.isfinite(ref_out).all()
+            ref = (ref_out, *ref_spn_backward(w, ref_caches, kind))
+            for a, b, c in zip(chunked, whole, ref):
+                assert np.array_equal(a, b, equal_nan=True)
+                assert np.array_equal(a, c, equal_nan=True)
+
+
+def _sizes(pieces, total):
+    """The lengths of (start, stop) `pieces` that tile [0, total) in order."""
+    assert [a for a, _ in pieces] == [0] + [b for _, b in pieces[:-1]]
+    assert pieces[-1][1] == total
+    return [b - a for a, b in pieces]
+
+
+@pytest.mark.parametrize("height,width", [(13, 13), (10, 13)])
+@pytest.mark.parametrize("kind", [ONE, THREE])
+def test_chunks_and_row_blocks_tile_the_stack(monkeypatch, height, width, kind):
+    # runs of steps and blocks of grid rows cover the stack in order; each
+    # but the last is the most that fits the budget, and at least one
+    gates = np.zeros((height, width, 3, kind.gates_per_direction))
+    for group in _direction_groups(height, width):
+        st = ScanStack([gates] * len(group), group, kind, np.float32)
+        steps = st.slots.shape[1]
+        step_bytes, row_bytes = st.slots[0, 0].nbytes, st.slots[0].nbytes / height
+        for budget in (1, 3 * step_bytes - 1, 3 * step_bytes, int(4 * row_bytes), 2**62):
+            monkeypatch.setattr(propagation, "CHUNK_BYTES", budget)
+            for sizes, piece, total in (
+                    (_sizes(st.chunks(), steps), step_bytes, steps),
+                    (_sizes([(r.start, r.stop) for r in st.row_blocks()], height),
+                     row_bytes, height)):
+                n = min(total, max(1, int(budget // piece)))
+                assert sizes[:-1] == [n] * (len(sizes) - 1)
+                assert 1 <= sizes[-1] <= n
+            assert st.chunk_steps == max(1, budget // step_bytes)
+
+
+@pytest.mark.parametrize("height,width", [(7, 11), (6, 6), (1, 5)])
+def test_grid_rows_pick_the_step_major_view_of_a_row_slice(height, width):
+    a = np.arange(height * width).reshape(height, width)
+    for d in Direction:
+        view = _step_major(a, d)
+        for lo in range(height):
+            for hi in range(lo + 1, height + 1):
+                rows = slice(lo, hi)
+                assert np.array_equal(view[_grid_rows(d, rows, len(view))],
+                                      _step_major(a[rows], d))
+
+
+def test_spn_forward_caches_hold_no_stacked_input():
+    # the caches hold the slots and, per unit, the scan output, the grid
+    # input and the winners: not a stacked copy of the input, nor the
+    # input weight 1 - sum(p), which the scan forms chunk by chunk
+    rng = np.random.default_rng(17)
+    gates = random_gates(64, 64, 8, THREE, rng).astype(np.float32)
+    x = rng.standard_normal((64, 64, 8)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out, caches = spn_forward(x, gates, THREE, units=2)
+        del out
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    (scan,) = caches[0].scans
+    per_unit = scan.h_scan.nbytes + x.nbytes + caches[0].winner.nbytes
+    assert held <= scan.stack.slots.nbytes + 2 * per_unit + 16 * 1024
+    assert len(scan.stack.chunks()) >= 3
 
 
 # --- max pool and boundary zeros against the code they replaced ----------

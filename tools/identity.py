@@ -38,6 +38,8 @@ TINY = ("--widths", "3,4,5", "--prop-channels", "3", "--units", "1")
 CK3, CK1 = "train-three-w1/best", "train-one/best"
 ITEM = ("--image", "ds/images/0008.ppm", "--coarse", "ds/coarse/0008.spnt")
 TRUTH = ("--truth", "ds/masks/0008.pgm")
+ITEM256 = ("--image", "ds256/images/0001.ppm", "--coarse", "ds256/coarse/0001.spnt",
+           "--truth", "ds256/masks/0001.pgm")
 
 # (name, argv, training processes or None); paths are relative to the run
 # directory, so that no output names it
@@ -59,6 +61,13 @@ FULL = [
       for kind, ck in (("three", CK3), ("one", CK1))
       for tag, extra in (("", ()), ("-truth", TRUTH),
                          ("-truth-restrict", (*TRUTH, "--restrict")))),
+    # a 128x128 scan grid is several of the scan's chunks of steps
+    ("gen-data-256", ("gen-data", "--out", "ds256", "--size", "256", "--train", "1",
+                      "--val", "1", "--seed", "7"), None),
+    *((f"refine-{kind}-256", ("refine", "--checkpoint", ck, *ITEM256,
+                              "--out", f"refine-{kind}-256.pgm"), None)
+      for kind, ck in (("three", CK3), ("one", CK1))),
+    ("eval-256", ("eval", "--checkpoint", CK3, "--data", "ds256"), None),
     ("affinity", ("affinity", "--out-csv", "affinity.csv", "--save", "affinity.spnt"),
      None),
     ("impulse", ("impulse", "--out", "impulse.spnt"), None),
