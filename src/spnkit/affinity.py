@@ -78,10 +78,6 @@ class DenseAffinity:
     direction: Direction
 
     @property
-    def pixels(self) -> int:
-        return self.height * self.width
-
-    @property
     def channels(self) -> int:
         return self.G.shape[0]
 
@@ -187,7 +183,6 @@ def impulse_response(gates_dir: np.ndarray, direction: Direction,
 
 @dataclass(frozen=True)
 class SparsityStats:
-    pixels: int
     entries: int
     nonzeros: int
     density: float
@@ -205,8 +200,7 @@ def sparsity_stats(aff: DenseAffinity) -> SparsityStats:
         if upper.size and np.abs(upper).max() > 0.0:
             tri = False
             break
-    total = aff.channels * aff.pixels * aff.pixels
-    return SparsityStats(aff.pixels, total, nz, nz / total, tri)
+    return SparsityStats(aff.G.size, nz, nz / aff.G.size, tri)
 
 
 def step_spectra(gates_dir: np.ndarray, direction: Direction,

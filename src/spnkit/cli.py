@@ -253,6 +253,7 @@ def cmd_affinity(args) -> int:
     resid = float(np.abs(dense.row_sums() - 1.0).max())
     stats = aff.sparsity_stats(dense)
     radii = aff.step_spectra(gd, d, kind)
+    radius = radii.max() if radii.size else 0.0
     rep = verify_stability(gates, kind)
     print(f"grid {args.height}x{args.width}, {args.channels} channel(s), "
           f"{args.kind}-way, direction {args.direction}")
@@ -260,7 +261,7 @@ def cmd_affinity(args) -> int:
     print(f"nonzeros: {stats.nonzeros}/{stats.entries} "
           f"(density {stats.density:.4f}), "
           f"block lower triangular: {stats.block_lower_triangular}")
-    print(f"max step spectral radius: {radii.max() if radii.size else 0.0:.9f}")
+    print(f"max step spectral radius: {radius:.9f}")
     print(rep)
     if args.out_csv:
         lines = [rep.to_csv().rstrip("\n"), "metric,value",
@@ -268,7 +269,7 @@ def cmd_affinity(args) -> int:
                  f"nonzeros,{stats.nonzeros}",
                  f"density,{stats.density:.17g}",
                  f"block_lower_triangular,{int(stats.block_lower_triangular)}",
-                 f"max_step_spectral_radius,{radii.max() if radii.size else 0.0:.17g}"]
+                 f"max_step_spectral_radius,{radius:.17g}"]
         Path(args.out_csv).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out_csv}")
     if args.save:

@@ -288,13 +288,13 @@ def load_split(root) -> tuple[list, list, dict]:
     return train, val, meta
 
 
-def check_sample(image: np.ndarray, coarse: np.ndarray, classes: int | None,
+def check_sample(image: np.ndarray, coarse: np.ndarray, classes: int,
                  labels: np.ndarray | None = None, *, name=str,
                  owner: str = "the model", error: type = DimensionError) -> None:
     """Raise `error` unless the image is finite, the coarse map is finite and
-    (H, W, `classes`; None: any) with the image's H and W, and the labels, if
-    given, are (H, W) in [0, classes). `name` maps "image", "coarse map" and
-    "mask" to the names in messages; `owner` names where `classes` came from."""
+    (H, W, `classes`) with the image's H and W, and the labels, if given, are
+    (H, W) in [0, classes). `name` maps "image", "coarse map" and "mask" to
+    the names in messages; `owner` names where `classes` came from."""
     h, w = image.shape[:2]
     require_finite(image, name("image"), error)
     if labels is not None and labels.shape != (h, w):
@@ -306,7 +306,6 @@ def check_sample(image: np.ndarray, coarse: np.ndarray, classes: int | None,
     if coarse.shape[:2] != (h, w):
         raise error(f"{name('coarse map')} is {coarse.shape[0]}x{coarse.shape[1]}, "
                     f"{name('image')} is {h}x{w}")
-    classes = coarse.shape[2] if classes is None else classes
     if coarse.shape[2] != classes:
         raise error(f"{name('coarse map')} has {coarse.shape[2]} channels, "
                     f"{owner} has {classes} classes")
@@ -318,16 +317,15 @@ def check_sample(image: np.ndarray, coarse: np.ndarray, classes: int | None,
                         f"{owner} has {classes} classes")
 
 
-def load_sample(root, index: int, classes: int | None = None):
+def load_sample(root, index: int, classes: int):
     """Returns (image (S, S, 3) f32, labels (S, S) i32, coarse (S, S, C) f32),
-    checked by `check_sample` against `classes`, the manifest's, if given."""
+    checked by `check_sample` against `classes`, the manifest's."""
     ipath, mpath, cpath = _item_paths(Path(root), index)
     image = read_image_pnm(ipath)
     labels = map_to_labels(read_image_pnm(mpath), f"mask for item {index}")
     coarse = read_array(cpath)
     check_sample(image, coarse, classes, labels, error=FormatError,
-                 owner="its coarse map" if classes is None else "the manifest",
-                 name=lambda noun: f"{noun} for item {index}")
+                 owner="the manifest", name=lambda noun: f"{noun} for item {index}")
     return image, labels, coarse
 
 

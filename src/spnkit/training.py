@@ -243,8 +243,7 @@ def pipeline_backward(grad_logits: np.ndarray, cache: dict) -> dict:
     dzpre = relu_backward(dapre, cache["mpre"])
     _, dprew, dpreb = conv3x3_backward(dzpre, cache["cpre"], need_dx=False)
     # spn_backward's +0 at the pinned gates (constants) survives the projection
-    draw = project_gates_backward(dgates, cache["pcache"]).astype(grad_logits.dtype,
-                                                                  copy=False)
+    draw = project_gates_backward(dgates, cache["pcache"])
     grads = guidance_backward(draw, cache["gcache"])
     grads["post.w"] = dpw
     grads["post.b"] = dpb

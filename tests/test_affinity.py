@@ -3,7 +3,9 @@ import pytest
 
 from spnkit.affinity import (
     MAX_ORACLE_PIXELS,
+    DenseAffinity,
     build_dense_affinity,
+    check_dense_size,
     impulse_response,
     laplacian_decompose,
     oracle_propagate,
@@ -150,6 +152,21 @@ def test_block_lower_triangular_and_sparsity():
         assert st.density == st.nonzeros / st.entries
 
 
+def test_sparsity_stats_sees_an_entry_above_the_diagonal_blocks():
+    # 3x4 grid, two channels, LTR: four steps of three lines each
+    def stats(*at):
+        G = np.broadcast_to(np.eye(12), (2, 12, 12)).copy()
+        for c, i, j in at:
+            G[c, i, j] = 0.5
+        return sparsity_stats(DenseAffinity(G, 3, 4, LTR))
+
+    within = stats((0, 0, 2), (1, 11, 9))  # inside diagonal blocks
+    assert within.block_lower_triangular
+    assert (within.entries, within.nonzeros) == (2 * 12 * 12, 26)
+    for at in [(1, 0, 3), (0, 7, 9), (1, 2, 11)]:  # step 0 to 1, 2 to 3, 0 to 3
+        assert not stats(at).block_lower_triangular, at
+
+
 def test_laplacian_properties():
     rng = np.random.default_rng(6)
     g = random_gates(4, 4, 1, THREE, rng, high=0.3)
@@ -215,6 +232,22 @@ def test_oracle_cap():
     g = np.zeros((21, 21, 1, 1))
     with pytest.raises(DimensionError, match="capped"):
         build_dense_affinity(g, LTR, ONE)
+
+
+@pytest.mark.parametrize("height,width", [(0, 5), (5, 0)])
+def test_dense_size_rejects_an_empty_grid(height, width):
+    with pytest.raises(DimensionError, match=r"^grid dimensions must be >= 1$"):
+        check_dense_size(height, width)
+
+
+def test_impulse_position_must_lie_in_the_grid():
+    g = zero_boundary(np.full((3, 4, 1, 4, 3), 0.2), THREE)[:, :, :, 0, :]
+    for row, col in [(0, 0), (2, 3)]:
+        assert impulse_response(g, LTR, THREE, row, col)[row, col] > 0.0
+    for row, col in [(3, 0), (0, 4), (-1, 0), (0, -1)]:
+        with pytest.raises(DimensionError,
+                           match=rf"^impulse position \({row}, {col}\) outside grid$"):
+            impulse_response(g, LTR, THREE, row, col)
 
 
 def test_oracle_rejects_boundary_violation():

@@ -1,5 +1,7 @@
 import ctypes
 import os
+import platform
+import re
 import shlex
 import subprocess
 import sys
@@ -245,6 +247,22 @@ def test_affinity_report(capsys, tmp_path):
     np.testing.assert_allclose(G.sum(axis=2), 1.0, atol=1e-12)
 
 
+def test_affinity_fails_when_g_is_not_block_lower_triangular(capsys, monkeypatch):
+    real_build = cli.aff.build_dense_affinity
+
+    def leaky(gates_dir, direction, kind):
+        dense = real_build(gates_dir, direction, kind)
+        dense.G[0, 0, 4] += 0.25  # step 0 reads step 1; the row still sums to one
+        dense.G[0, 0, 0] -= 0.25
+        return dense
+
+    monkeypatch.setattr(cli.aff, "build_dense_affinity", leaky)
+    rc, out, _ = run(capsys, "affinity", "--height", "4", "--width", "3")
+    assert rc == 1
+    assert "row-sum residual: 0.000e+00" in out
+    assert "block lower triangular: False" in out
+
+
 def test_impulse_grid(capsys, tmp_path):
     out_path = tmp_path / "imp.spnt"
     rc, out, _ = run(capsys, "impulse", "--height", "5", "--width", "4",
@@ -255,6 +273,47 @@ def test_impulse_grid(capsys, tmp_path):
     assert resp.shape == (5, 4, 1)
     assert resp[2, 0, 0] == 1.0
     assert resp[0, 1, 0] == 0.0 and resp[4, 1, 0] == 0.0
+
+
+def test_impulse_default_response_prints_at_four_decimals(capsys):
+    # a 9x9 grid, the impulse at row 4 of column 0, gates 1/3
+    rc, out, _ = run(capsys, "impulse")
+    assert rc == 0
+    assert out.splitlines()[:9] == [
+        "[[0.     0.     0.     0.     0.0123 0.0206 0.0274 0.032  0.0351]",
+        " [0.     0.     0.     0.037  0.0494 0.0617 0.0686 0.0732 0.0756]",
+        " [0.     0.     0.1111 0.1111 0.1235 0.1235 0.1235 0.1216 0.1193]",
+        " [0.     0.3333 0.2222 0.2222 0.1975 0.1852 0.1728 0.1632 0.1549]",
+        " [1.     0.3333 0.3333 0.2593 0.2346 0.2099 0.1934 0.1797 0.1687]",
+        " [0.     0.3333 0.2222 0.2222 0.1975 0.1852 0.1728 0.1632 0.1549]",
+        " [0.     0.     0.1111 0.1111 0.1235 0.1235 0.1235 0.1216 0.1193]",
+        " [0.     0.     0.     0.037  0.0494 0.0617 0.0686 0.0732 0.0756]",
+        " [0.     0.     0.     0.     0.0123 0.0206 0.0274 0.032  0.0351]]"]
+
+
+def test_affinity_defaults_to_an_8x8_one_channel_three_way_ltr_grid():
+    args = cli.build_parser().parse_args(["affinity"])
+    assert ((args.height, args.width, args.channels, args.kind, args.direction)
+            == (8, 8, 1, "three", "ltr"))
+
+
+def test_gradcheck_audits_at_least_ten_coordinates_each(capsys):
+    rc, out, _ = run(capsys, "gradcheck", "--coords", "8")
+    assert rc == 0
+    budgets = [int(a) + int(b) for a, b in
+               re.findall(r"checked (\d+) coords \(skipped (\d+)\)", out)]
+    assert budgets == [10] * 9
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--image", "--coarse", "--out"])
+def test_refine_requires_each_path(capsys, flag):
+    argv = ["refine", "--checkpoint", "ck", "--image", "i.ppm", "--coarse", "c.spnt",
+            "--out", "o.pgm"]
+    at = argv.index(flag)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:at] + argv[at + 2:])
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2(capsys):
@@ -949,6 +1008,38 @@ def test_repeated_refine_takes_no_page_faults(tmp_path):
     faults = [int(f) for f in done.stdout.split()]
     assert len(faults) == 6
     assert max(faults[3:]) <= 64, f"minor faults per request: {faults}"
+
+
+_ALLOC_FAULTS = """
+import resource
+import numpy as np
+from spnkit import training
+
+ok = training.keep_freed_memory()
+for rep in range(13):
+    if rep == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    # 1 MiB: above glibc's default 128 KiB thresholds, below the 4 MiB at
+    # which numpy asks for huge pages (one fault per 2 MiB)
+    a = np.ones(1 << 17)
+    del a
+print(ok, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt numbers")
+def test_allocator_policy_keeps_a_freed_1_mib_block():
+    # Both mallopt parameter numbers must be glibc's: a wrong one names
+    # another setting, which refuses 32 MiB or leaves 1 MiB blocks mmapped,
+    # so each of the ten blocks faults in again (256 faults each).
+    src = str(Path(spnkit.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _ALLOC_FAULTS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    ok, faults = done.stdout.split()
+    assert ok == "True"
+    assert int(faults) <= 64, f"minor faults over ten 1 MiB blocks: {faults}"
 
 
 @pytest.mark.parametrize("libc", ["unloadable", "no mallopt", 0, 1])

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from spnkit.dataset import (
     render_sample,
     verify_dataset,
 )
-from spnkit.errors import ConfigError, FormatError
+from spnkit.errors import ConfigError, DimensionError, FormatError
 from spnkit.tensor import read_array, read_image_pnm, write_array, write_image_pnm
 
 
@@ -207,6 +208,12 @@ def test_make_coarse_probabilities():
     assert 0.55 < agree < 1.0
 
 
+def test_make_coarse_defaults_to_factor_8_blur_1():
+    _, labels = render_sample(np.random.default_rng(2), 64, 3)
+    assert make_coarse(labels, 3).tobytes() == make_coarse(labels, 3, 8, 1).tobytes()
+    assert make_coarse(labels, 3).tobytes() != make_coarse(labels, 3, 7, 1).tobytes()
+
+
 def test_make_coarse_rejects_negative_blur():
     labels = np.zeros((16, 16), dtype=np.int32)
     with pytest.raises(ConfigError, match="blur must be >= 0"):
@@ -216,6 +223,14 @@ def test_make_coarse_rejects_negative_blur():
 def test_labels_map_roundtrip():
     labels = np.arange(6, dtype=np.int32).reshape(2, 3)
     np.testing.assert_array_equal(map_to_labels(labels_to_map(labels)), labels)
+
+
+def test_labels_map_takes_every_byte_value():
+    labels = np.array([[0, 255]], dtype=np.int32)
+    np.testing.assert_array_equal(map_to_labels(labels_to_map(labels)), labels)
+    for bad in (256, -1):
+        with pytest.raises(DimensionError, match="^labels must fit in a byte$"):
+            labels_to_map(np.array([[0, bad]], dtype=np.int32))
 
 
 def make_ds(tmp_path, **kw):
@@ -258,8 +273,8 @@ def test_gen_dataset_deterministic(tmp_path):
 
 
 def test_load_sample_consistent(tmp_path):
-    _, root = make_ds(tmp_path)
-    image, labels, coarse = load_sample(root, 0)
+    meta, root = make_ds(tmp_path)
+    image, labels, coarse = load_sample(root, 0, meta["classes"])
     assert image.shape == (24, 24, 3)
     assert labels.shape == (24, 24)
     assert coarse.shape == (24, 24, 2)
@@ -268,31 +283,31 @@ def test_load_sample_consistent(tmp_path):
 
 
 def test_load_sample_rejects_nonfinite_coarse(tmp_path):
-    _, root = make_ds(tmp_path)
+    meta, root = make_ds(tmp_path)
     path = root / "coarse" / "0000.spnt"
     coarse = read_array(path)
     coarse[3, 5, 1] = np.nan
     write_array(path, coarse)
     with pytest.raises(FormatError, match=r"item 0 .*nan.* at index \(3, 5, 1\)"):
-        load_sample(root, 0)
+        load_sample(root, 0, meta["classes"])
 
 
 def test_load_sample_rejects_mask_label_beyond_coarse_channels(tmp_path):
-    _, root = make_ds(tmp_path)
+    meta, root = make_ds(tmp_path)
     path = root / "masks" / "0001.pgm"
     labels = map_to_labels(read_image_pnm(path))
     labels[labels == 1] = 5
     write_image_pnm(path, labels_to_map(labels))
-    with pytest.raises(FormatError, match="mask for item 1 has label 5, its coarse "
-                                          "map has 2 classes"):
-        load_sample(root, 1)
+    with pytest.raises(FormatError, match="mask for item 1 has label 5, the "
+                                          "manifest has 2 classes"):
+        load_sample(root, 1, meta["classes"])
 
 
 def test_load_sample_rejects_3_channel_mask(tmp_path):
-    _, root = make_ds(tmp_path)
+    meta, root = make_ds(tmp_path)
     (root / "masks" / "0000.pgm").write_bytes(b"P6\n24 24\n255\n" + bytes(24 * 24 * 3))
     with pytest.raises(FormatError, match="mask for item 0 has 3 channels"):
-        load_sample(root, 0)
+        load_sample(root, 0, meta["classes"])
 
 
 def test_verify_dataset_detects_tampering(tmp_path):
@@ -302,6 +317,25 @@ def test_verify_dataset_detects_tampering(tmp_path):
     blob[-1] ^= 0xFF
     victim.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="sha256 mismatch"):
+        verify_dataset(root)
+
+
+def test_gen_dataset_defaults_to_coarse_factor_8_blur_1(tmp_path):
+    # perfbench's training workload relies on these defaults
+    gen_toy_dataset(tmp_path / "a", 1, 1, 24, 2, seed=3)
+    gen_toy_dataset(tmp_path / "b", 1, 1, 24, 2, seed=3, coarse_factor=8, coarse_blur=1)
+    assert ((tmp_path / "a" / "manifest.txt").read_bytes()
+            == (tmp_path / "b" / "manifest.txt").read_bytes())
+
+
+def test_verify_dataset_names_both_digests(tmp_path):
+    _, root = make_ds(tmp_path)
+    victim = root / "masks" / "0001.pgm"
+    want = hashlib.sha256(victim.read_bytes()).hexdigest()
+    victim.write_bytes(victim.read_bytes() + b"\0")
+    have = hashlib.sha256(victim.read_bytes()).hexdigest()
+    message = f"sha256 mismatch for {victim}: manifest {want[:12]}.., file {have[:12]}.."
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         verify_dataset(root)
 
 

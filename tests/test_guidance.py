@@ -357,6 +357,16 @@ def test_guidance_rejects_wrong_channels():
         guidance_forward(params, arch, np.zeros((8, 8, 1), dtype=np.float32), 4, 4)
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (8, 8, 1), (8, 8, 4)])
+def test_guidance_names_the_image_shape_it_refuses(shape):
+    # its own check, before any conv: the network owns its input width
+    arch = small_arch()
+    params = init_params(arch, np.random.default_rng(7))
+    message = f"image shaped {shape}, expected (H, W, 3)"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        guidance_forward(params, arch, np.zeros(shape, dtype=np.float32), 4, 4)
+
+
 def test_guidance_param_gradients_fd():
     arch = small_arch()
     rng = np.random.default_rng(8)

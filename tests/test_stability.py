@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,9 @@ def test_project_gates_returns_new_array(high):
     p = project_gates(g, THREE)
     p[...] = 7.0
     assert np.array_equal(g, keep)
+
+
+def test_stability_report_is_frozen():
+    rep = verify_stability(embed([0.5], ONE), ONE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.max_abs_sum = 2.0

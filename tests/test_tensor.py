@@ -12,6 +12,7 @@ from spnkit import (
     write_array,
     write_image_pnm,
 )
+from spnkit import tensor
 from spnkit.tensor import flush_subnormals, interp_matrix, resize_array
 
 from bits import assert_same_bits, special_values
@@ -47,6 +48,13 @@ def test_map_from_array_checks_shape(shape, message):
     assert message in str(info.value)
 
 
+def test_map_from_array_refuses_more_than_max_elements(monkeypatch):
+    monkeypatch.setattr(tensor, "MAX_ELEMENTS", 6)
+    assert map_from_array(np.zeros((2, 3), dtype=np.float32)).shape == (2, 3, 1)
+    with pytest.raises(DimensionError, match=r"^map has 7 entries, limit is 6$"):
+        map_from_array(np.zeros((7, 1, 1), dtype=np.float32))
+
+
 def test_package_exports_every_name_in_all():
     import spnkit
     missing = [name for name in spnkit.__all__ if not hasattr(spnkit, name)]
@@ -62,6 +70,10 @@ def test_map_from_array_promotes_2d():
 def test_interp_matrix_identity():
     for n in (1, 2, 5, 8):
         np.testing.assert_array_equal(interp_matrix(n, n), np.eye(n))
+
+
+def test_interp_matrix_to_one_sample_takes_the_first():
+    np.testing.assert_array_equal(interp_matrix(5, 1), [[1.0, 0.0, 0.0, 0.0, 0.0]])
 
 
 def test_interp_matrix_rows_are_convex():
@@ -180,6 +192,17 @@ def test_tensor_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(FormatError, match="magic"):
         read_array(p)
+
+
+def test_tensor_magic_alone_is_a_truncated_header():
+    with pytest.raises(FormatError, match=r"^truncated header at byte 4$"):
+        read_array(b"SPNT")
+
+
+def test_pnm_header_may_separate_by_carriage_returns(tmp_path):
+    p = tmp_path / "cr.pgm"
+    p.write_bytes(b"P5\r2\r1\r255\r" + bytes([0, 255]))
+    np.testing.assert_array_equal(read_image_pnm(p)[:, :, 0], [[0.0, 1.0]])
 
 
 def test_tensor_truncated_payload_reports_counts(tmp_path):

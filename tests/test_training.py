@@ -7,6 +7,7 @@ import re
 import shutil
 import signal
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -226,6 +227,13 @@ def test_refine_sample_rejects_a_bad_allowed_set(allowed):
         refine_sample(params, arch, image, coarse, allowed)
 
 
+def test_refine_sample_rejects_a_negative_class_beside_a_valid_one():
+    # the check reads the smallest class, not the last
+    arch, params, image, coarse, _ = small_setup(np.float32, size=16)
+    with pytest.raises(DimensionError, match=r"got \[-1, 1\]$"):
+        refine_sample(params, arch, image, coarse, [1, -1])
+
+
 @pytest.mark.parametrize("pixel", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("entry,what", [
     (lambda arch, params, image, coarse, labels:
@@ -292,7 +300,7 @@ def test_pipeline_leaves_no_subnormals(tmp_path, monkeypatch):
     config = TrainConfig(seed=1)
     arch = config.architecture(2)
     params = init_pipeline_params(arch, np.random.default_rng(config.seed))
-    image, labels, coarse = load_sample(tmp_path, 0)
+    image, labels, coarse = load_sample(tmp_path, 0, 2)
     seen = {}
     real_forward = training.spn_forward
     real_backward = training.project_gates_backward
@@ -371,6 +379,13 @@ def test_iou_skips_absent_classes():
     acc.update(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
     assert acc.mean() == 1.0
     assert acc.inter.tolist() == [4, 0, 0] and acc.union.tolist() == [4, 0, 0]
+
+
+def test_iou_counts_a_class_seen_in_one_pixel():
+    acc = IoUAccumulator(2)
+    acc.update(np.zeros((2, 2), dtype=int), np.array([[0, 0], [0, 1]]))
+    assert acc.union.tolist() == [4, 1]
+    assert acc.mean() == (3 / 4 + 0 / 1) / 2
 
 
 def test_train_config_roundtrip(tmp_path):
@@ -556,9 +571,9 @@ def test_train_aborts_at_a_bad_sample_in_a_worker_share(tiny_dataset, tmp_path,
                                                         monkeypatch):
     # the first batch's third sample: with two processes, the worker's share
     cfg = tiny_config()
-    train_idx, _, _ = load_split(tiny_dataset)
+    train_idx, _, meta = load_split(tiny_dataset)
     order = np.random.default_rng(cfg.seed + 1).permutation(len(train_idx))
-    bad = load_sample(tiny_dataset, train_idx[order[2]])[0]
+    bad = load_sample(tiny_dataset, train_idx[order[2]], int(meta["classes"]))[0]
     real_forward = training.pipeline_forward
 
     def forward(params, arch, image, coarse):
@@ -783,6 +798,56 @@ def test_train_restores_blas_threads(tiny_dataset, tmp_path, monkeypatch):
     assert during == {1}
 
 
+def test_process_count_is_one_when_a_fork_is_unsafe_or_unavailable(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    assert training._process_count(4, 3, True) == 3
+    assert training._process_count(4, 3, False) == 1  # no pinned BLAS
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert training._process_count(4, 3, True) == 1
+    finally:
+        release.set()
+        other.join()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert training._process_count(None, 8, True) == 3
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert training._process_count(4, 3, True) == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert training._process_count(None, 8, True) == 1
+
+
+def test_train_without_proc_maps_runs_in_one_process(tiny_dataset, tmp_path,
+                                                     monkeypatch):
+    one = train(tiny_config(epochs=1), tiny_dataset, tmp_path / "w1", workers=1)
+    real_open, real_pool = open, training._SamplePool
+    processes = []
+
+    def no_maps(path, *args, **kw):
+        if path == "/proc/self/maps":
+            raise PermissionError(errno.EACCES, "denied", path)
+        return real_open(path, *args, **kw)
+
+    def pool(n):
+        processes.append(n)
+        return real_pool(n)
+
+    monkeypatch.setattr(training, "open", no_maps, raising=False)
+    monkeypatch.setattr(training, "_SamplePool", pool)
+    training._openblas_threads.cache_clear()
+    try:
+        assert training._openblas_threads() is None
+        with training._one_blas_thread() as pinned:
+            assert pinned is False
+        two = train(tiny_config(epochs=1), tiny_dataset, tmp_path / "w2", workers=2)
+    finally:
+        training._openblas_threads.cache_clear()
+    assert processes == [1]
+    assert _run_files(two.out_dir) == _run_files(one.out_dir)
+
+
 def test_evaluate_restrict_matches_refine_sample():
     # three classes, truth labels only 0 and 1: an unrestricted prediction
     # echoes the random coarse map's class 2, a restricted one may not
@@ -820,6 +885,6 @@ def test_config_txt_pinned(tiny_dataset, tmp_path):
 
 def test_coarse_iou_positive(tiny_dataset):
     _, val_idx, meta = load_split(tiny_dataset)
-    samples = [load_sample(tiny_dataset, i) for i in val_idx]
+    samples = [load_sample(tiny_dataset, i, int(meta["classes"])) for i in val_idx]
     v = coarse_iou(samples, int(meta["classes"]))
     assert 0.2 < v < 1.0

@@ -70,6 +70,10 @@ FULL = [
     ("eval-256", ("eval", "--checkpoint", CK3, "--data", "ds256"), None),
     ("affinity", ("affinity", "--out-csv", "affinity.csv", "--save", "affinity.spnt"),
      None),
+    # non-square with two channels: C·N² entries
+    ("affinity-5x9-c2-one", ("affinity", "--height", "5", "--width", "9", "--channels",
+                             "2", "--kind", "one", "--out-csv", "affinity-5x9.csv",
+                             "--save", "affinity-5x9.spnt"), None),
     ("impulse", ("impulse", "--out", "impulse.spnt"), None),
     ("verify", ("verify",), None),
     ("verify-one-32", ("verify", "--kind", "one", "--bits", "32"), None),
