@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
+import os
+import select
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -472,16 +475,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _stdout_reader_gone() -> bool:
+    """True if stdout is a pipe whose reading end is closed."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, io.UnsupportedOperation):
+        return False  # not a file descriptor
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(events & select.POLLERR for _, events in poller.poll(0))
+
+
 def main(argv=None) -> int:
     tr.keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (FormatError, ConfigError, CheckpointError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ContractError, TrainingAborted) as e:
         print(f"check failed: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise  # some other pipe: no fault of the reader
+        # the reader left (`spn impulse | head -1`): stdout goes to the null
+        # device, so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OSError as e:
         if e.filename is None:  # no path at fault: a pipe, a fork, ...

@@ -53,6 +53,10 @@ so each block of the grid array is read or written once for all
 directions. Chunks change no result: every element gets the same
 operations in the same order at any budget.
 
+`spn_forward` lays the slots of all its stacks end to end in one buffer,
+which holds at least the H * W * C * 4 * K elements of the gate gradient
+(exactly that many for one-way, whose stacks have no separator lines).
+
 The reverse pass routes the max pool's gradient straight into each stack:
 a direction's block is one multiply of the gradient's bits, as unsigned
 integers, by the mask of the nodes that direction won, so every routed bit,
@@ -66,9 +70,20 @@ multiply. The result is written to the grid once, after the last unit; a
 write per unit would be a strided one. The pinned gates' gradients are then
 set to zero: they are not free parameters, and in the stack they read
 across block edges.
+
+A forward's caches serve one backward, as a framework frees a graph's saved
+values after one backward pass. `spn_backward` drops each unit's scan
+outputs and inputs as that unit's reverse pass ends, and writes the gate
+gradient into the slots' buffer, which no unit reads after the last: no new
+array of the gates' size is allocated, and the gradient shares memory with
+the caches. Spent caches raise ContractError. The reverse pass runs in the
+scan's dtype, the dtype of the forward's input: the upstream gradient is
+cast to it as it is routed, and the input and gate gradients come back in
+it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -219,19 +234,33 @@ class ScanStack:
     one place that knows where a block starts. `slots` is (K, steps, rows, C),
     step-major, so one step is contiguous. The input weight 1 - sum(p) is
     not stored: `input_weight` forms it for a run of steps where it is used.
+
+    `slots` is a view of the flat `buffer` of `dtype`, from element
+    `offset` on; without a `buffer` the stack allocates its own.
     """
 
-    def __init__(self, gate_dirs, directions, kind: ConnectionKind, dtype):
+    def __init__(self, gate_dirs, directions, kind: ConnectionKind, dtype,
+                 buffer: np.ndarray | None = None, offset: int = 0):
         self.kind = kind
         self.directions = tuple(directions)
         self.height = gate_dirs[0].shape[0]
-        steps, self.lines, channels, k = _step_major(gate_dirs[0], directions[0]).shape
-        rows = self.pad + len(directions) * (self.lines + self.pad)
-        self.slots = self._zero_separators(np.empty((k, steps, rows, channels), dtype=dtype))
+        self.lines = _step_major(gate_dirs[0], directions[0]).shape[1]
+        shape = self.slots_shape(gate_dirs[0], directions, kind)
+        size = math.prod(shape)
+        self.buffer = np.empty(size, dtype=dtype) if buffer is None else buffer
+        self.slots = self._zero_separators(self.buffer[offset:offset + size].reshape(shape))
         # a block of grid rows is read once for every direction
         for r in self.row_blocks():
             for g, (d, block) in zip(gate_dirs, self.blocks(self.slots, r)):
                 block[...] = np.moveaxis(_step_major(g[r], d), -1, 0)
+
+    @staticmethod
+    def slots_shape(gates_dir: np.ndarray, directions, kind: ConnectionKind) -> tuple:
+        """(K, steps, rows, C) of the slots of a stack of `directions` built
+        from (H, W, C, K) gates shaped like `gates_dir`."""
+        steps, lines, channels, k = _step_major(gates_dir, directions[0]).shape
+        pad = int(kind == ConnectionKind.THREE_WAY)
+        return k, steps, pad + len(directions) * (lines + pad), channels
 
     @property
     def pad(self) -> int:
@@ -313,11 +342,15 @@ class ScanStack:
 class ScanCache:
     """One fused scan: its stack, its (H, W, C) grid input `x`, which it
     shares with the unit's other scan, and its output `h_scan`, step-major
-    in the stack's layout."""
+    in the stack's layout.
+
+    It serves one backward: `spn_backward` sets `x` and `h_scan` to None as
+    the unit's reverse pass ends, and writes the gate gradient over the
+    stack's slots, so that the stack keeps its shape but not its gates."""
 
     stack: ScanStack
-    x: np.ndarray
-    h_scan: np.ndarray
+    x: np.ndarray | None
+    h_scan: np.ndarray | None
 
     @property
     def gates_scan(self) -> np.ndarray:
@@ -484,22 +517,34 @@ class UnitCache:
     winner: np.ndarray
 
 
+def _stacks(gate_data: np.ndarray, kind: ConnectionKind, dtype) -> list:
+    """A ScanStack per direction group of (H, W, C, 4, K) `gate_data`,
+    their slots end to end in one buffer of `dtype`."""
+    groups = _direction_groups(gate_data.shape[0], gate_data.shape[1])
+    gate_dirs = [[gate_data[:, :, :, d, :] for d in group] for group in groups]
+    sizes = [math.prod(ScanStack.slots_shape(g[0], group, kind))
+             for g, group in zip(gate_dirs, groups)]
+    buffer = np.empty(sum(sizes), dtype=dtype)
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    return [ScanStack(g, group, kind, dtype, buffer, offset)
+            for g, group, offset in zip(gate_dirs, groups, offsets)]
+
+
 def spn_forward(x: np.ndarray, gate_data: np.ndarray, kind: ConnectionKind,
                 units: int = 1, check: bool = True):
     """Run `units` cascaded propagation units with shared gates.
 
     Each unit scans in all four directions and max-pools the results; the next
     unit consumes the pooled output. Directions that share a scan shape run
-    as one fused scan (see the module docstring). Returns (out, caches).
+    as one fused scan (see the module docstring). Returns (out, caches); the
+    caches serve one `spn_backward`.
     """
     if units < 1:
         raise DimensionError("units must be >= 1")
     _check_inputs(x, gate_data, (4, kind.gates_per_direction))
     if check:
         check_boundary_zeros(gate_data, kind)
-    stacks = [ScanStack([gate_data[:, :, :, d, :] for d in group], group,
-                        kind, x.dtype)
-              for group in _direction_groups(x.shape[0], x.shape[1])]
+    stacks = _stacks(gate_data, kind, x.dtype)
     caches = []
     cur = x.copy()  # the first unit's cached input stays apart from the caller's
     for _ in range(units):
@@ -518,14 +563,15 @@ def _unit_backward(unit: UnitCache, grad: np.ndarray, dslots: list) -> np.ndarra
 
     The max pool's gradient goes to each direction's block of its stack
     directly (`ScanStack.route`). Adds each direction group's gate gradient
-    into its `dslots` entry. The stacked gradients die on return, before
-    the next unit allocates its own: `spn_backward`'s peak memory depends
-    on it.
+    into its `dslots` entry, then drops each scan's input and output. The
+    stacked gradients die on return, before the next unit allocates its
+    own: `spn_backward`'s peak memory depends on it.
     """
     stacks = [sc.stack for sc in unit.scans]
     gs = [st.route(grad, unit.winner) for st in stacks]
     for sc, g, acc in zip(unit.scans, gs, dslots):
         _scan_backward(sc, g, acc)
+        sc.x = sc.h_scan = None
     # ((d0 + d1) + d2) + d3, read straight from the directions' blocks
     dx = np.empty(grad.shape, dtype=gs[0].dtype)
     (d, block), *rest = [b for st, g in zip(stacks, gs) for b in st.blocks(g)]
@@ -537,20 +583,26 @@ def _unit_backward(unit: UnitCache, grad: np.ndarray, dslots: list) -> np.ndarra
 
 
 def spn_backward(grad: np.ndarray, caches: list):
-    """Gradients of spn_forward: returns (dx, dgates (H, W, C, 4, K)).
+    """Gradients of spn_forward: returns (dx, dgates (H, W, C, 4, K)),
+    both in the scan's dtype, the dtype of the forward's `x`.
 
-    Each direction group's gate gradient is summed over the units in its
-    stack's layout and written to the grid once, after the last unit.
+    `caches` serve this one call: each unit's scan inputs and outputs are
+    dropped as its reverse pass ends, and dgates is written into the
+    stacks' slots, which no unit reads after the last, so it shares memory
+    with the caches. Spent caches raise ContractError. Each direction
+    group's gate gradient is summed over the units in its stack's layout
+    and written to dgates once, after the last unit.
     """
+    if any(sc.h_scan is None for unit in caches for sc in unit.scans):
+        raise ContractError("spn_backward: these caches have served a backward "
+                            "already; run spn_forward again")
     stacks = [sc.stack for sc in caches[0].scans]
-    dslots = [np.zeros(st.slots.shape, dtype=grad.dtype) for st in stacks]
+    dslots = [np.zeros_like(st.slots) for st in stacks]
     g = grad
     for unit in reversed(caches):
         g = _unit_backward(unit, g, dslots)
-    # allocated after the units: the accumulators are as large as dgates,
-    # and holding both through the units would raise the peak
-    dgates = np.empty(grad.shape + (4, stacks[0].kind.gates_per_direction),
-                      dtype=grad.dtype)
+    shape = caches[0].winner.shape + (4, stacks[0].kind.gates_per_direction)
+    dgates = stacks[0].buffer[:math.prod(shape)].reshape(shape)
     # one copy per slot: a copy that put the slot axis innermost would run
     # its inner loop over three floats at a time
     for st, acc in zip(stacks, dslots):

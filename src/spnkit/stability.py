@@ -67,14 +67,14 @@ def project_gates_cached(gate_data: np.ndarray, kind: ConnectionKind):
 
 
 def project_gates_backward(grad: np.ndarray, cache) -> np.ndarray:
-    """Gradient through the rescaling. Identity on rows that were not scaled;
-    returns `grad` itself when no row was scaled."""
+    """Gradient through the rescaling, in `grad`'s dtype. Identity on rows
+    that were not scaled; returns `grad` itself when no row was scaled."""
     raw, out, denom, active = cache
     if not active.any():
         return grad
     dot = (grad * out).sum(axis=4, keepdims=True)
     scaled = (grad - dot * np.sign(raw)) / denom
-    return np.where(active[..., None], scaled, grad)
+    return np.where(active[..., None], scaled, grad).astype(grad.dtype, copy=False)
 
 
 @dataclass(frozen=True)

@@ -987,6 +987,26 @@ def test_refine_imports_no_process_pool(tmp_path):
     assert done.stdout.split()[-1] == "False"
 
 
+def test_closed_stdout_pipe_ends_quietly():
+    # `spn impulse | head -1`: the reader closes the pipe after one line,
+    # before the command writes; it exits 1 with nothing on stderr. The
+    # script's own first line lets the test close the pipe first.
+    src = str(Path(spnkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = ("import sys\nprint('ready', flush=True)\nsys.stdin.readline()\n"
+              "from spnkit.cli import main\nsys.exit(main(['impulse']))\n")
+    with subprocess.Popen([sys.executable, "-c", script], env=env, stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"ready\n"
+        proc.stdout.close()
+        proc.stdin.write(b"go\n")
+        proc.stdin.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def _libc_has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")

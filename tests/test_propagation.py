@@ -1000,3 +1000,103 @@ def test_spn_backward_peak_memory(height, width, kind, bound):
         tracemalloc.stop()
     assert dgates.shape == gates.shape
     assert peak / dgates.nbytes <= bound
+
+
+# --- a forward's caches serve one backward -------------------------------
+
+SPENT_GRIDS = [(6, 6), (5, 8), (8, 5)]
+
+
+@pytest.mark.parametrize("height,width", SPENT_GRIDS)
+@pytest.mark.parametrize("kind", [ONE, THREE])
+def test_spent_caches_raise(height, width, kind):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((height, width, 2))
+    gates = random_gates(height, width, 2, kind, rng, high=0.3)
+    w = rng.standard_normal(x.shape)
+    _, caches = spn_forward(x, gates, kind, units=2)
+    spn_backward(w, caches)
+    for unit in caches:
+        for sc in unit.scans:
+            assert sc.x is None and sc.h_scan is None
+    with pytest.raises(ContractError, match="served a backward already"):
+        spn_backward(w, caches)
+    # a cache left half spent, as by an error in the reverse pass, is spent
+    _, caches = spn_forward(x, gates, kind, units=2)
+    caches[0].scans[-1].h_scan = None
+    with pytest.raises(ContractError, match="served a backward already"):
+        spn_backward(w, caches)
+
+
+@pytest.mark.parametrize("height,width", SPENT_GRIDS)
+@pytest.mark.parametrize("kind", [ONE, THREE])
+def test_dgates_is_written_over_the_slots(height, width, kind):
+    # all stacks' slots are views of one buffer, end to end; it holds at
+    # least the gate gradient's elements, and exactly that many for one-way
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((height, width, 3)).astype(np.float32)
+    gates = random_gates(height, width, 3, kind, rng, high=0.3)
+    _, caches = spn_forward(x, gates, kind, units=2)
+    stacks = [sc.stack for sc in caches[0].scans]
+    buffer = stacks[0].buffer
+    assert all(st.buffer is buffer for st in stacks)
+    assert buffer.size == sum(st.slots.size for st in stacks)
+    if len(stacks) == 2:
+        assert not np.shares_memory(stacks[0].slots, stacks[1].slots)
+    if kind == ONE:
+        assert buffer.size == gates.size
+    else:
+        assert buffer.size > gates.size
+    _, dgates = spn_backward(rng.standard_normal(x.shape).astype(np.float32), caches)
+    assert dgates.dtype == np.float32 and dgates.flags.c_contiguous
+    assert np.shares_memory(dgates, caches[0].scans[0].stack.slots)
+    # the buffer's leading elements
+    assert np.shares_memory(dgates, buffer[:1])
+    assert not np.shares_memory(dgates, buffer[gates.size:])
+
+
+@pytest.mark.parametrize("height,width", [(64, 64), (48, 64)])
+def test_spn_backward_allocates_no_gate_sized_array(height, width):
+    # three-way, float32, C=8, two units. The traced peak inside
+    # spn_backward is the accumulators, the routed gradient in every stack,
+    # two (H, W, C) grids (a unit's incoming and outgoing input gradient) and
+    # the reverse pass's two chunk buffers, plus 64 KB: less than a
+    # gate-sized array, which is not among them
+    rng = np.random.default_rng(20)
+    gates = random_gates(height, width, 8, THREE, rng).astype(np.float32)
+    x = rng.standard_normal((height, width, 8)).astype(np.float32)
+    grad = rng.standard_normal(x.shape).astype(np.float32)
+    _, caches = spn_forward(x, gates, THREE, units=2)
+    stacks = [sc.stack for sc in caches[0].scans]
+    slack = 2 * max(st.slots[0, :st.chunk_steps].nbytes for st in stacks) + 64 * 1024
+    assert slack < gates.nbytes
+    bound = (sum(st.slots.nbytes for st in stacks)
+             + sum(st.slots[0].nbytes for st in stacks)
+             + 2 * x.nbytes + slack)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _, dgates = spn_backward(grad, caches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dgates.shape == gates.shape
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("height,width", [(6, 6), (5, 8)])
+@pytest.mark.parametrize("x_dtype,grad_dtype", [(np.float32, np.float64),
+                                                  (np.float64, np.float32)])
+def test_backward_runs_in_the_scan_dtype(height, width, x_dtype, grad_dtype):
+    # the routed gradient is cast to the scan's dtype, so the gradients come
+    # back in it, the same bits as from a gradient cast first
+    rng = np.random.default_rng(21)
+    for kind in (ONE, THREE):
+        x = rng.standard_normal((height, width, 2)).astype(x_dtype)
+        gates = random_gates(height, width, 2, kind, rng, low=-0.4, high=0.4)
+        grad = rng.standard_normal(x.shape).astype(grad_dtype)
+        backs = [spn_backward(g, spn_forward(x, gates, kind, units=2)[1])
+                 for g in (grad, grad.astype(x_dtype))]
+        for a, b in zip(*backs):
+            assert a.dtype == x_dtype
+            assert_same_bits(a, b)

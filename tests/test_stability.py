@@ -140,6 +140,21 @@ def test_projection_backward_matches_general_formula(dtype, high):
     np.testing.assert_array_equal(back, general_projection_backward(grad, cache))
 
 
+@pytest.mark.parametrize("high", [0.2, 1.5])
+def test_projection_backward_keeps_grad_dtype(high):
+    # float64 gates and a float32 gradient: the result is float32 whether or
+    # not some row was rescaled, so its dtype does not depend on the data
+    rng = np.random.default_rng(7)
+    g = random_gates(5, 4, 2, THREE, rng, low=-high, high=high)
+    _, cache = project_gates_cached(g, THREE)
+    assert cache[3].any() == (high > 1.0)
+    grad = rng.standard_normal(g.shape).astype(np.float32)
+    back = project_gates_backward(grad, cache)
+    assert back.dtype == np.float32
+    np.testing.assert_array_equal(
+        back, general_projection_backward(grad, cache).astype(np.float32))
+
+
 def test_projection_backward_fd():
     rng = np.random.default_rng(4)
     g = random_gates(4, 4, 2, THREE, rng, low=-1.2, high=1.2)

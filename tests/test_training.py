@@ -358,7 +358,10 @@ def test_pipeline_backward_matches_rezeroing_reference(kind, seed):
     assert cache["pcache"][3].mean() > 0.3  # rows rescaled
     dlogits = softmax_xent(logits, labels)[1]
     grads = pipeline_backward(dlogits, cache)
-    ref = rezeroing_pipeline_backward(dlogits, cache, arch.kind)
+    # a forward's caches serve one backward: the reference gets a second
+    # forward of its own, on the same inputs
+    ref_cache = pipeline_forward(params, arch, image, coarse)[1]
+    ref = rezeroing_pipeline_backward(dlogits, ref_cache, arch.kind)
     assert sorted(grads) == sorted(ref)
     for key in grads:
         assert_same_bits(grads[key], ref[key])
